@@ -9,6 +9,7 @@ to resume or decode is in the file; nothing is pickled.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -68,7 +69,8 @@ def save_checkpoint(
 
     `optimizer`, when given, maps task name to an object with ``m``/``v``
     dicts (flat name -> array) and an integer ``t``; `vocabs` maps task name
-    to a Vocab (or any object with ``.tokens``).
+    to a Vocab (or any object with ``.tokens``).  The write is atomic: the
+    archive appears at `path` complete or not at all.
     """
     path = Path(path)
     arrays: dict[str, np.ndarray] = {
@@ -91,8 +93,15 @@ def save_checkpoint(
         for task, vocab in vocabs.items():
             arrays[f"vocab/{task}"] = np.array(list(vocab.tokens), dtype=str)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    # Write beside the target under a name no checkpoint glob matches, then
+    # rename: a crash mid-write never leaves a truncated archive at `path`.
+    tmp = path.with_name(f".{path.name}.partial")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 

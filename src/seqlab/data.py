@@ -194,10 +194,6 @@ def encode_source_only(ex: Example, vocab: Vocab, max_src_len: int = 400) -> Enc
     return EncodedExample(src_ids, src_ext, empty, empty, oovs, ex)
 
 
-def extended_tokens(vocab: Vocab, oovs: Sequence[str]) -> tuple[str, ...]:
-    return vocab.tokens + tuple(oovs)
-
-
 def ids_to_tokens(ids: Sequence[int], vocab: Vocab, oovs: Sequence[str] = ()) -> list[str]:
     """Map extended ids back to words; copied OOVs resolve through `oovs`."""
     out = []

@@ -12,10 +12,15 @@ soft-shared, or private:
 
 The penalty distance is computed over the flattened concatenation of a
 group's arrays per task pair.  The default form is squared Euclidean
-distance, which is what the optimizer sees; the plain Euclidean form is
-also available, with its gradient defined as zero when the distance falls
-below 1e-12.  With three or more tasks every pair of soft copies is pulled
-together, so each task pays the penalty against all the others.
+distance; the plain Euclidean form (``form="l2"``) is also available, with
+its gradient defined as zero when the distance falls below 1e-12.  With
+three or more tasks every pair of soft copies is pulled together, so each
+task pays the penalty against all the others.
+
+Training applies the penalty in closed form for both forms
+(:meth:`ParamRegistry.soft_penalty`): on a task's step its value joins the
+loss and its gradient is added to the backward pass's, with the counterpart
+copies held constant.
 
 Embeddings are per task by default (the encoder and decoder of one task
 share them by construction); the output projection and the copy gate
@@ -24,7 +29,7 @@ default to private as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping
 
@@ -33,16 +38,11 @@ import numpy as np
 from .data import task_seed
 from .errors import ContractError
 from .model import ModelConfig, TAGS, param_shapes
-from .tensor import Tensor, add, multiply, reduce_sum, scale, subtract
+from .tensor import Tensor
 
 SQUARED = "squared"
 EUCLIDEAN = "l2"
 ZERO_DISTANCE = 1e-12
-
-# Penalty weights that worked at full corpus scale: long-document
-# summarization favors the first row, headline-length output the second.
-DEFAULT_GAMMA = {2: 5e-5, 3: 1e-5}
-HEADLINE_GAMMA = {2: 1e-5, 3: 1.5e-6}
 
 PRESETS = {
     # The configuration that won the ablation: soft-share the second
@@ -185,21 +185,12 @@ class ParamRegistry:
             raise ContractError(f"unknown task {task!r}")
         return self.tasks[task]
 
-    def _soft_counterparts(self, task: str) -> Iterator[tuple[str, str, Tensor, Tensor]]:
-        """Yield (tag, name, own, other) over soft tags and co-tasks."""
-        own = self.task(task)
-        for tag in self.plan.soft_tags:
-            for other_name, other in self.tasks.items():
-                if other_name == task:
-                    continue
-                for name in sorted(own.groups[tag]):
-                    yield tag, name, own.groups[tag][name], other.groups[tag][name]
-
     def soft_penalty(self, task: str) -> tuple[float, dict[tuple[str, str], np.ndarray]]:
         """Closed-form penalty value and gradients for one task's soft arrays.
 
-        Counterpart tasks are treated as constants; their pull happens on
-        their own steps.
+        Training uses this for both forms.  Counterpart tasks are treated as constants; their pull happens on
+        their own steps.  With gamma 0, no soft tag or a single task it
+        returns ``(0.0, {})``.
         """
         gamma = self.plan.gamma
         value = 0.0
@@ -230,25 +221,6 @@ class ParamRegistry:
                             g = gamma * d / dist
                             grads[key] = grads[key] + g if key in grads else g
         return value, grads
-
-    def penalty_graph(self, task: str) -> Tensor | None:
-        """The squared-form penalty as a differentiable graph term.
-
-        Counterpart tensors take part directly; the caller simply never
-        applies their adjoints.  The plain Euclidean form has no graph
-        (there is no square root in the operator set), use
-        :meth:`soft_penalty` for it.
-        """
-        if self.plan.form != SQUARED:
-            raise ContractError("penalty_graph: only the squared form is differentiable here")
-        if self.plan.gamma == 0.0 or not self.plan.soft_tags or len(self.tasks) < 2:
-            return None
-        total: Tensor | None = None
-        for _, _, own, other in self._soft_counterparts(task):
-            diff = subtract(own, other)
-            term = reduce_sum(multiply(diff, diff))
-            total = term if total is None else add(total, term)
-        return scale(total, self.plan.gamma) if total is not None else None
 
     def distance_report(self) -> dict[str, dict[tuple[str, str], float]]:
         """Euclidean distance between every task pair, per tag."""

@@ -30,8 +30,8 @@ from .data import (
 )
 from .errors import ContractError, NumericError
 from .model import ModelConfig, forward_loss
-from .sharing import EUCLIDEAN, SQUARED, ParamRegistry, TaskParams
-from .tensor import Tensor, add, backward, no_grad
+from .sharing import ParamRegistry, TaskParams
+from .tensor import Tensor, backward, no_grad
 
 __all__ = [
     "TrainConfig",
@@ -122,13 +122,6 @@ class LossBreakdown:
     l_cov: float
     soft_penalty: float
     total: float
-
-    @classmethod
-    def assemble(
-        cls, nll: float, l_cov: float, soft_penalty: float, cov_weight: float, coverage_on: bool
-    ) -> "LossBreakdown":
-        total = nll + (cov_weight * l_cov if coverage_on else 0.0) + soft_penalty
-        return cls(nll, l_cov if coverage_on else 0.0, soft_penalty, total)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +448,6 @@ def train(
         adam = {n: AdamState(params[n]) for n in names}
         vocabs = {n: by_name[n].vocab for n in names}
         primary = names[0]
-        want_graph_penalty = registry.plan.gamma > 0 and registry.plan.form == SQUARED
-        want_closed_penalty = registry.plan.gamma > 0 and registry.plan.form == EUCLIDEAN
 
         with open(run_dir / METRICS_NAME, "w") as log:
             for task in names:
@@ -506,19 +497,8 @@ def train(
                     cov_weight=tconf.cov_weight,
                     use_coverage=use_cov,
                 )
-                loss = parts.total
-                penalty_value = 0.0
-                if want_graph_penalty:
-                    graph = registry.penalty_graph(task)
-                    if graph is not None:
-                        penalty_value = float(graph.values)
-                        loss = add(loss, graph)
-                total_value = float(loss.values)
-                closed_grads = {}
-                if want_closed_penalty:
-                    penalty_value, closed = registry.soft_penalty(task)
-                    total_value += penalty_value
-                    closed_grads = {f"{t}/{n}": g for (t, n), g in closed.items()}
+                penalty_value, penalty_grads = registry.soft_penalty(task)
+                total_value = float(parts.total.values) + penalty_value
 
                 if not math.isfinite(total_value):
                     _log(log, kind="abort", step=step, task=task, total=total_value)
@@ -529,9 +509,10 @@ def train(
                     )
 
                 wrt = flat[task]
-                adjoint = backward(loss, wrt=wrt.values())
+                adjoint = backward(parts.total, wrt=wrt.values())
                 grads = {k: adjoint[t] for k, t in wrt.items()}
-                for key, extra in closed_grads.items():
+                for (tag, name), extra in penalty_grads.items():
+                    key = f"{tag}/{name}"
                     grads[key] = grads[key] + extra
                 grads, grad_norm = clip_gradients(grads, tconf.clip_norm)
                 adam_step(wrt, grads, adam[task], lr)

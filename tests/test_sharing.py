@@ -8,13 +8,14 @@ from seqlab.errors import ContractError
 from seqlab.model import TAGS
 from seqlab.sharing import (
     EUCLIDEAN,
+    SQUARED,
     Mode,
     ParamRegistry,
     PRESETS,
     SharingPlan,
     single_task_params,
 )
-from seqlab.tensor import backward
+from seqlab.tensor import add, backward, multiply, reduce_sum, scale, subtract, tensor
 
 
 class TestSharingPlan:
@@ -138,7 +139,6 @@ class TestSoftPenalty:
         reg, _, _ = two_task_registry(gamma=0.0)
         value, grads = reg.soft_penalty("a")
         assert value == 0.0 and grads == {}
-        assert reg.penalty_graph("a") is None
 
     def test_single_task_has_no_penalty(self):
         cfg = tiny_config()
@@ -148,11 +148,25 @@ class TestSoftPenalty:
         assert value == 0.0 and grads == {}
 
     def test_graph_matches_closed_form(self):
-        reg, a, _ = two_task_registry(gamma=0.3)
+        # autodiff reference built from tensor ops, counterparts as constants,
+        # summed over both co-tasks of a three-task registry
+        cfg = tiny_config()
+        reg = ParamRegistry(cfg, SharingPlan.preset("final", gamma=0.3), seed=5)
+        a, b, c = (reg.add_task(n) for n in "abc")
+        graph = None
+        for other in (b, c):
+            for tag in reg.plan.soft_tags:
+                for name, own in a.groups[tag].items():
+                    diff = subtract(own, tensor(other.groups[tag][name].values.copy()))
+                    term = reduce_sum(multiply(diff, diff))
+                    graph = term if graph is None else add(graph, term)
+        graph = scale(graph, reg.plan.gamma)
+
         value, grads = reg.soft_penalty("a")
-        graph = reg.penalty_graph("a")
         assert graph.item() == pytest.approx(value, rel=1e-12)
         leaf_grads = backward(graph)
+        expected_keys = {(t, n) for t in reg.plan.soft_tags for n in a.groups[t]}
+        assert set(grads) == expected_keys
         for (tag, name), g in grads.items():
             np.testing.assert_allclose(leaf_grads[a.groups[tag][name]], g, atol=1e-12)
 
@@ -201,27 +215,26 @@ class TestSoftPenalty:
         assert value == 0.0
         assert grads == {}
 
-    def test_euclidean_has_no_graph(self):
-        reg, _, _ = two_task_registry(gamma=1.0, form=EUCLIDEAN)
-        with pytest.raises(ContractError, match="squared"):
-            reg.penalty_graph("a")
-
-    def test_closed_form_matches_finite_difference(self):
+    @pytest.mark.parametrize("form", [SQUARED, EUCLIDEAN])
+    def test_closed_form_matches_finite_difference(self, form):
         # independent check of the closed-form gradient: probe the value
-        # function numerically, no autodiff involved
-        reg, a, _ = two_task_registry(gamma=0.7, tags=("Attn",))
+        # function numerically at every entry of every array of one soft
+        # tag, no autodiff involved
+        reg, a, _ = two_task_registry(gamma=0.7, form=form, tags=("Attn",))
         _, grads = reg.soft_penalty("a")
-        arr = a.groups["Attn"]["score_v"].values
+        assert set(grads) == {("Attn", n) for n in a.groups["Attn"]}
         h = 1e-6
-        for i in range(arr.size):
-            keep = arr[i]
-            arr[i] = keep + h
-            up, _ = reg.soft_penalty("a")
-            arr[i] = keep - h
-            down, _ = reg.soft_penalty("a")
-            arr[i] = keep
-            numeric = (up - down) / (2 * h)
-            assert numeric == pytest.approx(grads[("Attn", "score_v")][i], abs=1e-6)
+        for name, t in a.groups["Attn"].items():
+            arr = t.values.reshape(-1)
+            for i in range(arr.size):
+                keep = arr[i]
+                arr[i] = keep + h
+                up, _ = reg.soft_penalty("a")
+                arr[i] = keep - h
+                down, _ = reg.soft_penalty("a")
+                arr[i] = keep
+                numeric = (up - down) / (2 * h)
+                assert numeric == pytest.approx(grads[("Attn", name)].reshape(-1)[i], abs=1e-6)
 
 
 class TestDistanceReport:

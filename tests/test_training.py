@@ -14,15 +14,24 @@ from seqlab.checkpoint import (
     restore_task_params,
     save_checkpoint,
 )
-from seqlab.data import SynthSpec, make_task_corpora
+import seqlab.checkpoint as checkpoint
+from seqlab.data import SynthSpec, batch_iterator, encode_example, make_task_corpora, task_seed
 from seqlab.errors import CheckpointError, ContractError, NumericError
-from seqlab.model import LossParts, ModelConfig
+from seqlab.model import LossParts, ModelConfig, forward_loss
 from seqlab.sharing import EUCLIDEAN, Mode, ParamRegistry, SharingPlan, single_task_params
-from seqlab.tensor import grad_enabled, tensor
+from seqlab.tensor import (
+    add,
+    backward,
+    grad_enabled,
+    multiply,
+    reduce_sum,
+    scale,
+    subtract,
+    tensor,
+)
 import seqlab.training as training
 from seqlab.training import (
     AdamState,
-    LossBreakdown,
     TrainConfig,
     TrainTask,
     adam_step,
@@ -57,17 +66,6 @@ class TestTrainConfig:
             TrainConfig(lr=0.0)
         with pytest.raises(ContractError, match="patience"):
             TrainConfig(patience=0)
-
-
-class TestLossBreakdown:
-    def test_assemble_with_coverage(self):
-        b = LossBreakdown.assemble(2.0, 0.5, 0.25, cov_weight=2.0, coverage_on=True)
-        assert b.total == 2.0 + 1.0 + 0.25
-
-    def test_assemble_without_coverage(self):
-        b = LossBreakdown.assemble(2.0, 0.5, 0.25, cov_weight=2.0, coverage_on=False)
-        assert b.l_cov == 0.0
-        assert b.total == 2.25
 
 
 class TestMixingScheduler:
@@ -541,6 +539,57 @@ class TestTrainLoop:
             for key, t in solo_reg.task(name).flat().items():
                 np.testing.assert_array_equal(t.values, mtl_flat[key].values)
 
+    def test_squared_penalty_step_matches_hand_step(self, tmp_path):
+        # one step of `train` equals one step built by hand from the same
+        # batch, with the squared penalty as tensor ops on frozen counterparts
+        cfg = tiny_config()
+        tconf = quick_conf(ratios=(1, 1), max_steps=1, val_every=5, checkpoint_every=5)
+        tasks = [copy_task("copy"), copy_task("kw", generator="keyword-extract")]
+
+        def registry():
+            plan = SharingPlan.preset("final", gamma=0.05)
+            reg = ParamRegistry(cfg, plan, seed=0, init_range=0.1)
+            for t in tasks:
+                reg.add_task(t.name)
+            return reg
+
+        run = tmp_path / "run"
+        train(cfg, tconf, registry(), tasks, run)
+        trained = load_checkpoint(run / "checkpoints" / "step-000001.npz").task_arrays("copy")
+
+        def hand_step(with_penalty):
+            ref = registry()
+            own, other = ref.task("copy"), ref.task("kw")
+            examples = [encode_example(ex, tasks[0].vocab) for ex in tasks[0].corpora.train]
+            rng = np.random.default_rng(task_seed(tconf.seed, "copy", stream=1))
+            batch = next(batch_iterator(examples, tconf.batch_size, rng, dtype=cfg.np_dtype))
+            loss = forward_loss(own, cfg, batch, cov_weight=tconf.cov_weight, use_coverage=True).total
+            if with_penalty:
+                penalty = None
+                for tag in ref.plan.soft_tags:
+                    for name, t in own[tag].items():
+                        diff = subtract(t, tensor(other[tag][name].values.copy()))
+                        term = reduce_sum(multiply(diff, diff))
+                        penalty = term if penalty is None else add(penalty, term)
+                loss = add(loss, scale(penalty, ref.plan.gamma))
+            flat = own.flat()
+            adjoint = backward(loss, wrt=flat.values())
+            grads, _ = clip_gradients({k: adjoint[t] for k, t in flat.items()}, tconf.clip_norm)
+            adam_step(flat, grads, AdamState(own), tconf.lr)
+            return own
+
+        expected = hand_step(with_penalty=True)
+        for tag, name, t in expected.named():
+            np.testing.assert_allclose(trained[tag][name], t.values, rtol=0, atol=1e-12)
+        # the comparison has power: the same step without the penalty differs
+        unpulled = hand_step(with_penalty=False)
+        gap = max(
+            float(np.abs(trained[tag][name] - unpulled[tag][name].values).max())
+            for tag in ("E2", "Attn", "D1")
+            for name in unpulled[tag]
+        )
+        assert gap > 1e-4
+
     def test_hard_sharing_stays_identical(self, tmp_path):
         cfg = tiny_config()
         reg = ParamRegistry(cfg, SharingPlan.preset("final", gamma=0.0, hard=True), seed=0, init_range=0.1)
@@ -641,3 +690,28 @@ class TestWarmStart:
     def test_missing_meta(self, tmp_path):
         with pytest.raises(ContractError, match="run_meta"):
             warm_start(tmp_path, 0.9)
+
+    def test_failed_write_leaves_no_partial_checkpoint(self, tmp_path, monkeypatch):
+        run = self.fake_run(tmp_path, 1000, (800, 1000))
+        ckpt_dir = run / "checkpoints"
+        before = {p.name: p.read_bytes() for p in ckpt_dir.iterdir()}
+
+        def savez_dies_midway(fh, **arrays):
+            fh.write(b"PK\x03\x04 truncated")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(checkpoint.np, "savez", savez_dies_midway)
+        params = single_task_params(tiny_config(), task="a")
+        for step in (900, 1000):  # a new step, and an overwrite of an old one
+            with pytest.raises(OSError, match="disk full"):
+                save_checkpoint(
+                    ckpt_dir / f"step-{step:06d}.npz", step=step, tasks={"a": params}, config={}
+                )
+        monkeypatch.undo()
+
+        after = {p.name: p.read_bytes() for p in ckpt_dir.iterdir()}
+        assert after == before
+        for fraction, step in ((0.9, 800), (1.0, 1000)):
+            picked = warm_start(run, fraction)
+            assert picked.name == f"step-{step:06d}.npz"
+            assert load_checkpoint(picked).step == step
