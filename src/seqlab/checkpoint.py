@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CheckpointError
 from .sharing import TaskParams
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 __all__ = [
     "CHECKPOINT_VERSION",

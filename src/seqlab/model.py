@@ -30,7 +30,7 @@ steps per example, then over the batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -41,7 +41,9 @@ from .tensor import (
     add,
     concat,
     gather,
+    getitem,
     log,
+    lstm,
     matmul,
     minimum,
     multiply,
@@ -57,7 +59,9 @@ from .tensor import (
 )
 
 TAGS = ("Emb", "E1", "E2", "Attn", "D1", "D2", "Out", "Ptr")
-GATES = ("i", "f", "g", "o")
+GATES = ("i", "f", "g", "o")  # order of the gate blocks in a fused LSTM array
+# The LSTM cells of each tag, by array-name prefix.
+CELLS = {"E1": ("fwd", "bwd"), "E2": ("fwd", "bwd"), "D1": ("cell",), "D2": ("cell",)}
 MASK_PENALTY = -1e9
 
 ParamGroup = Mapping[str, Tensor]
@@ -98,12 +102,12 @@ class ModelConfig:
         return cls(**merged)
 
 
-def _cell_shapes(prefix: str, in_dim: int, hid: int) -> dict[str, tuple[int, ...]]:
+def _cell_shapes(tag: str, in_dim: int, hid: int) -> dict[str, tuple[int, ...]]:
     shapes: dict[str, tuple[int, ...]] = {}
-    for g in GATES:
-        shapes[f"{prefix}_w{g}"] = (in_dim, hid)
-        shapes[f"{prefix}_u{g}"] = (hid, hid)
-        shapes[f"{prefix}_b{g}"] = (hid,)
+    for prefix in CELLS[tag]:
+        shapes[f"{prefix}_w"] = (in_dim, 4 * hid)
+        shapes[f"{prefix}_u"] = (hid, 4 * hid)
+        shapes[f"{prefix}_b"] = (4 * hid,)
     return shapes
 
 
@@ -118,10 +122,10 @@ def param_shapes(cfg: ModelConfig) -> dict[str, dict[str, tuple[int, ...]]]:
     }
     return {
         "Emb": {"table": (v, d)},
-        "E1": _cell_shapes("fwd", d, h) | _cell_shapes("bwd", d, h),
-        "E2": _cell_shapes("fwd", 2 * h, h) | _cell_shapes("bwd", 2 * h, h),
-        "D1": _cell_shapes("cell", d, h) | init,
-        "D2": _cell_shapes("cell", h, h) | dict(init),
+        "E1": _cell_shapes("E1", d, h),
+        "E2": _cell_shapes("E2", 2 * h, h),
+        "D1": _cell_shapes("D1", d, h) | init,
+        "D2": _cell_shapes("D2", h, h) | dict(init),
         "Attn": {
             "enc_w": (2 * h, a),
             "dec_w": (h, a),
@@ -144,50 +148,44 @@ def param_shapes(cfg: ModelConfig) -> dict[str, dict[str, tuple[int, ...]]]:
     }
 
 
-def cell_weights(cell: ParamGroup, prefix: str) -> tuple[Tensor, ...]:
-    """Prefetch one LSTM cell's weights in (w, u, b) x (i, f, g, o) order."""
-    out: list[Tensor] = []
-    for g in GATES:
-        out += [cell[f"{prefix}_w{g}"], cell[f"{prefix}_u{g}"], cell[f"{prefix}_b{g}"]]
-    return tuple(out)
+def init_blocks(tag: str, shapes: Mapping[str, tuple[int, ...]]) -> list[tuple[str, tuple]]:
+    """The blocks that initialisation fills, in the order it draws them.
+
+    Each entry is (array name, index of the block).  An LSTM array is
+    filled one gate block at a time, in the sorted order of the per-gate
+    names of checkpoint version 1 (``fwd_bf``, ``fwd_bg``, ``fwd_bi``, ...),
+    so a seed draws the same starting values as it did for that layout.
+    Every other array is one block.
+    """
+    blocks: dict[str, tuple[str, tuple]] = {name: (name, (...,)) for name in shapes}
+    for prefix in CELLS.get(tag, ()):
+        for kind in "wub":
+            name = f"{prefix}_{kind}"
+            hid = shapes[name][-1] // 4
+            del blocks[name]
+            for k, gate in enumerate(GATES):
+                blocks[name + gate] = (name, (..., slice(k * hid, (k + 1) * hid)))
+    return [blocks[key] for key in sorted(blocks)]
 
 
-def lstm_step(weights: tuple[Tensor, ...], x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM cell update (input, forget, cell, output gates; no peepholes)."""
-    wi, ui, bi, wf, uf, bf, wg, ug, bg, wo, uo, bo = weights
-    i = sigmoid(add(add(matmul(x, wi), matmul(h, ui)), bi))
-    f = sigmoid(add(add(matmul(x, wf), matmul(h, uf)), bf))
-    g = tanh(add(add(matmul(x, wg), matmul(h, ug)), bg))
-    o = sigmoid(add(add(matmul(x, wo), matmul(h, uo)), bo))
-    c_new = add(multiply(f, c), multiply(i, g))
-    h_new = multiply(o, tanh(c_new))
-    return h_new, c_new
+def cell_weights(cell: ParamGroup, prefix: str) -> tuple[Tensor, Tensor, Tensor]:
+    """One LSTM cell's fused (w, u, b) arrays."""
+    return cell[f"{prefix}_w"], cell[f"{prefix}_u"], cell[f"{prefix}_b"]
 
 
-def _run_direction(
-    cell: ParamGroup,
-    prefix: str,
-    inputs: Sequence[Tensor],
-    masks: Sequence[tuple[Tensor, Tensor]],
-    reverse: bool,
-    batch: int,
-    hid: int,
-    dt,
-) -> tuple[list[Tensor], Tensor, Tensor]:
-    weights = cell_weights(cell, prefix)
-    h = tensor(np.zeros((batch, hid), dtype=dt))
-    c = tensor(np.zeros((batch, hid), dtype=dt))
-    outs: list[Tensor | None] = [None] * len(inputs)
-    order = range(len(inputs) - 1, -1, -1) if reverse else range(len(inputs))
-    for t in order:
-        h_new, c_new = lstm_step(weights, inputs[t], h, c)
-        keep, drop = masks[t]
-        # Padded steps freeze the state, so the final state always belongs
-        # to the last (first, when reversed) real token.
-        h = add(multiply(h_new, keep), multiply(h, drop))
-        c = add(multiply(c_new, keep), multiply(c, drop))
-        outs[t] = h
-    return outs, h, c  # type: ignore[return-value]
+def _split_state(out: Tensor, t: int, hid: int) -> tuple[Tensor, Tensor]:
+    """The (h, c) that an `lstm` output holds for step `t`."""
+    h = getitem(out, (slice(None), t, slice(None, hid)))
+    c = getitem(out, (slice(None), t, slice(hid, None)))
+    return h, c
+
+
+def lstm_step(
+    weights: tuple[Tensor, Tensor, Tensor], x: Tensor, h: Tensor, c: Tensor
+) -> tuple[Tensor, Tensor]:
+    """One LSTM cell update of `x` [B, in] from (h, c): `lstm` over one step."""
+    out = lstm(reshape(x, (x.shape[0], 1, -1)), *weights, h, c)
+    return _split_state(out, 0, h.shape[-1])
 
 
 @dataclass
@@ -211,24 +209,24 @@ def encode(params: Params, cfg: ModelConfig, src_ids: np.ndarray, src_mask: np.n
     bsz, steps = src_ids.shape
     if steps < 1 or not (src_mask.sum(axis=1) >= 1).all():
         raise ContractError("encode: every row needs at least one real token")
-    dt = cfg.np_dtype
     h = cfg.hidden
-    table = params["Emb"]["table"]
-    embs = [gather(table, src_ids[:, t]) for t in range(steps)]
-    masks = []
-    for t in range(steps):
-        col = src_mask[:, t : t + 1].astype(dt)
-        masks.append((tensor(col), tensor(1.0 - col)))
+    zeros = tensor(np.zeros((bsz, h), dtype=cfg.np_dtype))
 
-    f1, f1_h, f1_c = _run_direction(params["E1"], "fwd", embs, masks, False, bsz, h, dt)
-    b1, b1_h, b1_c = _run_direction(params["E1"], "bwd", embs, masks, True, bsz, h, dt)
-    layer1 = [concat([f, b]) for f, b in zip(f1, b1)]
+    def direction(cell: ParamGroup, prefix: str, x: Tensor, reverse: bool):
+        # Padded steps freeze the state, so the final state always belongs
+        # to the last (first, when reversed) real token.
+        out = lstm(x, *cell_weights(cell, prefix), zeros, zeros, src_mask, reverse)
+        last = 0 if reverse else steps - 1
+        return (getitem(out, (..., slice(None, h))), *_split_state(out, last, h))
 
-    f2, f2_h, f2_c = _run_direction(params["E2"], "fwd", layer1, masks, False, bsz, h, dt)
-    b2, b2_h, b2_c = _run_direction(params["E2"], "bwd", layer1, masks, True, bsz, h, dt)
-    layer2 = [concat([f, b]) for f, b in zip(f2, b2)]
+    embs = gather(params["Emb"]["table"], src_ids)
+    f1, f1_h, f1_c = direction(params["E1"], "fwd", embs, False)
+    b1, b1_h, b1_c = direction(params["E1"], "bwd", embs, True)
+    layer1 = concat([f1, b1])
 
-    states = reshape(concat(layer2), (bsz, steps, 2 * h))
+    f2, f2_h, f2_c = direction(params["E2"], "fwd", layer1, False)
+    b2, b2_h, b2_c = direction(params["E2"], "bwd", layer1, True)
+    states = concat([f2, b2])
     init1 = _init_state(params["D1"], concat([f1_h, b1_h]), concat([f1_c, b1_c]))
     init2 = _init_state(params["D2"], concat([f2_h, b2_h]), concat([f2_c, b2_c]))
     return EncoderOutput(states, init1, init2, steps)

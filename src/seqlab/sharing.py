@@ -37,7 +37,7 @@ import numpy as np
 
 from .data import task_seed
 from .errors import ContractError
-from .model import ModelConfig, TAGS, param_shapes
+from .model import ModelConfig, TAGS, init_blocks, param_shapes
 from .tensor import Tensor
 
 SQUARED = "squared"
@@ -135,8 +135,9 @@ class ParamRegistry:
     """Owns every task's parameter arrays and enforces the sharing plan.
 
     Initialization draws each task's arrays from a generator seeded only by
-    (seed, task name), in a fixed tag/name order, so a task's starting point
-    never depends on which other tasks are registered.  Hard groups are
+    (seed, task name), in a fixed tag/block order (see
+    :func:`~seqlab.model.init_blocks`), so a task's starting point never
+    depends on which other tasks are registered.  Hard groups are
     created by the first task to register and aliased by the rest.
     """
 
@@ -156,6 +157,7 @@ class ParamRegistry:
         self.tasks: dict[str, TaskParams] = {}
         self._hard: dict[str, dict[str, Tensor]] = {}
         self._shapes = param_shapes(cfg)
+        self._blocks = {tag: init_blocks(tag, shapes) for tag, shapes in self._shapes.items()}
 
     def add_task(self, task: str) -> TaskParams:
         if task in self.tasks:
@@ -167,12 +169,12 @@ class ParamRegistry:
             if self.plan.mode(tag) is Mode.HARD and tag in self._hard:
                 groups[tag] = self._hard[tag]
                 continue
-            group = {
-                name: Tensor(
-                    rng.uniform(-self.init_range, self.init_range, self._shapes[tag][name]).astype(dt)
-                )
-                for name in sorted(self._shapes[tag])
-            }
+            shapes = self._shapes[tag]
+            arrays = {name: np.empty(shapes[name], dtype=dt) for name in sorted(shapes)}
+            for name, index in self._blocks[tag]:
+                block = arrays[name][index]
+                block[...] = rng.uniform(-self.init_range, self.init_range, block.shape)
+            group = {name: Tensor(arr) for name, arr in arrays.items()}
             if self.plan.mode(tag) is Mode.HARD:
                 self._hard[tag] = group
             groups[tag] = group

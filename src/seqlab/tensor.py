@@ -292,6 +292,29 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return Tensor(out, op="reshape", parents=(a,), vjp=vjp)
 
 
+def getitem(a: Tensor, key) -> Tensor:
+    """Basic slicing ``a[key]``: integers, slices and ``...`` only."""
+    parts = key if isinstance(key, tuple) else (key,)
+    for k in parts:
+        integer = isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+        if not (integer or isinstance(k, slice) or k is Ellipsis):
+            raise ContractError(f"getitem: only integers, slices and ... may index, got {k!r}")
+    try:
+        out = a.values[key]
+    except IndexError:
+        raise DimensionError("getitem", a.shape) from None
+    if not _grad_enabled:
+        return Tensor(out)
+    src_shape = a.values.shape
+
+    def vjp(g):
+        da = np.zeros(src_shape, dtype=g.dtype)
+        da[key] = g
+        return (da,)
+
+    return Tensor(out, op="getitem", parents=(a,), vjp=vjp)
+
+
 # ---------------------------------------------------------------------------
 # Nonlinearities
 
@@ -452,6 +475,135 @@ def scatter_add(a: Tensor, indices, size: int) -> Tensor:
         return (da.reshape(src_shape),)
 
     return Tensor(out, op="scatter_add", parents=(a,), vjp=vjp)
+
+
+# ---------------------------------------------------------------------------
+# Recurrence
+
+
+def lstm(
+    x: Tensor,
+    w: Tensor,
+    u: Tensor,
+    b: Tensor,
+    h0: Tensor,
+    c0: Tensor,
+    keep: np.ndarray | None = None,
+    reverse: bool = False,
+) -> Tensor:
+    """Run an LSTM over every step of `x` [B, T, in] as one tape node.
+
+    `w` [in, 4h], `u` [h, 4h] and `b` [4h] hold the four gates side by side
+    in (input, forget, cell, output) order; `h0` and `c0` [B, h] are the
+    start states.  Each step computes
+
+        z = x_t w + b + h u,  i, f, o = sigmoid(z_i, z_f, z_o),  g = tanh(z_g),
+        c = f * c + i * g,    h = o * tanh(c)
+
+    and where the constant 0/1 mask `keep` [B, T] is 0 the row's h and c
+    stay exactly as they were, so a row's last state belongs to its last
+    real step.  `reverse` runs t from T-1 down to 0.
+
+    Returns [B, T, 2h]: the state after each step, h in the first half of
+    the last axis and c in the second.  The input projection of all steps
+    is one matmul.  The backward pass is one reverse sweep that keeps each
+    step's gate adjoints, then forms the gradients of `x`, `w`, `u` and `b`
+    with one product each over all B*T rows; `keep` gets no adjoint.
+    """
+    xv, wv, uv, bv = x.values, w.values, u.values, b.values
+    h0v, c0v = h0.values, c0.values
+    if xv.ndim != 3:
+        raise DimensionError("lstm", xv.shape)
+    bsz, steps, in_dim = xv.shape
+    hid = uv.shape[0]
+    expected = ((in_dim, 4 * hid), (hid, 4 * hid), (4 * hid,), (bsz, hid), (bsz, hid))
+    if (wv.shape, uv.shape, bv.shape, h0v.shape, c0v.shape) != expected:
+        raise DimensionError("lstm", xv.shape, wv.shape, uv.shape, bv.shape, h0v.shape, c0v.shape)
+    frozen = [False] * steps  # steps where some row holds its state
+    if keep is not None:
+        if keep.shape != (bsz, steps):
+            raise DimensionError("lstm", xv.shape, keep.shape)
+        hold = keep == 0
+        frozen = hold.any(axis=0).tolist()
+    rows = bsz * steps
+    proj = xv.reshape(rows, in_dim) @ wv + bv
+    # sigmoid(z) = (1 + tanh(z / 2)) / 2, so one tanh serves all four gates:
+    # halve the i, f, o pre-activations (exact in binary floating point),
+    # then map those gates from [-1, 1] onto [0, 1].
+    half = np.full(4 * hid, 0.5, dtype=proj.dtype)
+    half[2 * hid : 3 * hid] = 1.0
+    shift = half.copy()
+    shift[2 * hid : 3 * hid] = 0.0
+    proj = (proj * half).reshape(bsz, steps, 4 * hid)
+    u_half = uv * half
+    acts = np.empty_like(proj)  # gate activations i, f, g, o of every step
+    out = np.empty((bsz, steps, 2 * hid), dtype=proj.dtype)
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    h, c = h0v, c0v
+    for t in order:
+        a = acts[:, t]
+        np.tanh(proj[:, t] + h @ u_half, out=a)
+        a *= half
+        a += shift
+        h_new, c_new = out[:, t, :hid], out[:, t, hid:]
+        np.multiply(a[:, hid : 2 * hid], c, out=c_new)
+        c_new += a[:, :hid] * a[:, 2 * hid : 3 * hid]
+        np.tanh(c_new, out=h_new)
+        h_new *= a[:, 3 * hid :]
+        if frozen[t]:
+            np.copyto(h_new, h, where=hold[:, t, None])
+            np.copyto(c_new, c, where=hold[:, t, None])
+        h, c = h_new, c_new
+    if not _grad_enabled:
+        return Tensor(out)
+
+    def vjp(g):
+        gates = acts.reshape(bsz, steps, 4, hid)
+        i, f, cell, o = (gates[:, :, k] for k in range(4))
+        h_out, c_out = out[..., :hid], out[..., hid:]
+        # The state each step started from, in the same [B, T, h] layout.
+        if reverse:
+            h_in = np.concatenate([h_out[:, 1:], h0v[:, None]], axis=1)
+            c_in = np.concatenate([c_out[:, 1:], c0v[:, None]], axis=1)
+        else:
+            h_in = np.concatenate([h0v[:, None], h_out[:, :-1]], axis=1)
+            c_in = np.concatenate([c0v[:, None], c_out[:, :-1]], axis=1)
+        # On a frozen step c_out is the old state, not the step's own cell,
+        # but that step's adjoints are zero, so the value never counts.
+        tanh_c = np.tanh(c_out)
+        dc_per_dh = o * (1.0 - tanh_c * tanh_c)
+        # Pre-activation adjoints of the i, f, g gates per unit adjoint of
+        # the step's cell, and of the o gate per unit adjoint of its h.
+        per_dc = np.stack(
+            [cell * i * (1.0 - i), c_in * f * (1.0 - f), i * (1.0 - cell * cell)], axis=2
+        )
+        per_dh = tanh_c * o * (1.0 - o)
+        dz = np.empty((bsz, steps, 4, hid), dtype=g.dtype)
+        dh = np.zeros((bsz, hid), dtype=g.dtype)
+        dc = np.zeros((bsz, hid), dtype=g.dtype)
+        ut = uv.T
+        for t in reversed(order):
+            dh = dh + g[:, t, :hid]
+            dc = dc + g[:, t, hid:]
+            if frozen[t]:
+                k = hold[:, t, None]
+                dh_held, dc_held = np.where(k, dh, 0.0), np.where(k, dc, 0.0)
+                dh, dc = np.where(k, 0.0, dh), np.where(k, 0.0, dc)
+            dc = dc + dh * dc_per_dh[:, t]
+            np.multiply(per_dc[:, t], dc[:, None], out=dz[:, t, :3])
+            np.multiply(per_dh[:, t], dh, out=dz[:, t, 3])
+            dh = dz[:, t].reshape(bsz, 4 * hid) @ ut
+            dc = dc * f[:, t]
+            if frozen[t]:
+                dh = dh + dh_held
+                dc = dc + dc_held
+        dz2 = dz.reshape(rows, 4 * hid)
+        dx = (dz2 @ wv.T).reshape(xv.shape)
+        dw = xv.reshape(rows, in_dim).T @ dz2
+        du = h_in.reshape(rows, hid).T @ dz2
+        return dx, dw, du, dz2.sum(axis=0), dh, dc
+
+    return Tensor(out, op="lstm", parents=(x, w, u, b, h0, c0), vjp=vjp)
 
 
 # ---------------------------------------------------------------------------

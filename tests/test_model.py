@@ -19,7 +19,23 @@ from seqlab.model import (
     vocab_distribution,
 )
 from seqlab.sharing import single_task_params
-from seqlab.tensor import Tensor, backward, gradient_check, matmul, minimum, reduce_sum, tensor
+from seqlab.tensor import (
+    Tensor,
+    add,
+    backward,
+    concat,
+    getitem,
+    gradient_check,
+    lstm,
+    matmul,
+    minimum,
+    multiply,
+    reduce_sum,
+    reshape,
+    sigmoid,
+    tanh,
+    tensor,
+)
 
 
 class TestConfigAndShapes:
@@ -44,7 +60,9 @@ class TestConfigAndShapes:
         shapes = param_shapes(cfg)
         h, d, v, a = cfg.hidden, cfg.emb_dim, cfg.vocab_size, cfg.attention_dim
         assert shapes["Emb"]["table"] == (v, d)
-        assert shapes["E2"]["fwd_wi"] == (2 * h, h)   # layer 2 consumes both directions
+        assert shapes["E2"]["fwd_w"] == (2 * h, 4 * h)   # layer 2 consumes both directions
+        assert shapes["E2"]["fwd_u"] == (h, 4 * h)
+        assert shapes["E2"]["fwd_b"] == (4 * h,)
         assert shapes["Attn"]["enc_w"] == (2 * h, a)
         assert shapes["Out"]["mix_w"] == (3 * h, h)
         assert shapes["Ptr"]["ctx_w"] == (2 * h, 1)
@@ -275,11 +293,27 @@ class TestAttention:
 
 
 class TestModelGradients:
-    def test_full_loss_gradient_check_small(self):
+    # Step 1e-4 balances truncation against float64 cancellation noise on
+    # the smallest-magnitude coordinates of the full model.  With a switch
+    # off, some coordinates fall to ~3e-9 (Attn/dec_w, D1/init_h_w without
+    # the pointer), where that noise (~1e-11 on a loss near 3) alone
+    # exceeds 5e-5 relative under the checker's 1e-8 floor, or sits at
+    # 4.96e-5 (E1/bwd_u without coverage); those cases probe with 1e-3.
+    @pytest.mark.parametrize(
+        "use_pointer,use_coverage,step",
+        [(True, True, 1e-4), (True, False, 1e-3), (False, True, 1e-3), (False, False, 1e-3)],
+        ids=[
+            "pointer-coverage", "pointer-nocoverage", "nopointer-coverage", "nopointer-nocoverage"
+        ],
+    )
+    def test_full_loss_gradient_check_small(self, use_pointer, use_coverage, step):
         """Every parameter of a small model against central differences."""
         spec = TINY_SPEC
         vocab = spec.vocab()
-        cfg = ModelConfig(vocab_size=len(vocab), emb_dim=3, hidden=3, attn_dim=4)
+        cfg = ModelConfig(
+            vocab_size=len(vocab), emb_dim=3, hidden=3, attn_dim=4,
+            use_pointer=use_pointer, use_coverage=use_coverage,
+        )
         params = single_task_params(cfg, seed=7, init_range=0.5)
         rng = np.random.default_rng(3)
         from seqlab.data import gen_copy
@@ -294,7 +328,131 @@ class TestModelGradients:
                 groups[tag][name] = leaf
             return forward_loss(groups, cfg, batch).total
 
-        # Step 1e-4 balances truncation against float64 cancellation noise
-        # on the smallest-magnitude coordinates.
-        report = gradient_check(build, arrays, step=1e-4, tolerance=5e-5)
+        report = gradient_check(build, arrays, step=step, tolerance=5e-5)
         assert report.passed, report.summary()
+
+
+def per_gate_lstm(x, w, u, b, h0, c0, keep=None, reverse=False):
+    """The oracle for `lstm`: an LSTM built one tape op at a time.
+
+    The fused arrays are split into their (i, f, g, o) blocks, and every
+    step runs 8 matmuls, 8 adds and the four gate nonlinearities, then
+    blends the new state with the old one through the keep mask.  Returns
+    [B, T, 2h] laid out like `lstm`'s output.
+    """
+    bsz, steps, _ = x.shape
+    hid = u.shape[0]
+
+    def blocks(t):
+        return [getitem(t, (..., slice(k * hid, (k + 1) * hid))) for k in range(4)]
+
+    cells = list(zip(blocks(w), blocks(u), blocks(b)))
+    h, c = h0, c0
+    outs = [None] * steps
+    for t in range(steps - 1, -1, -1) if reverse else range(steps):
+        xt = getitem(x, (slice(None), t))
+        i, f, g, o = (add(add(matmul(xt, wk), matmul(h, uk)), bk) for wk, uk, bk in cells)
+        i, f, g, o = sigmoid(i), sigmoid(f), tanh(g), sigmoid(o)
+        c_new = add(multiply(f, c), multiply(i, g))
+        h_new = multiply(o, tanh(c_new))
+        if keep is None:
+            h, c = h_new, c_new
+        else:
+            col = keep[:, t : t + 1].astype(x.dtype)
+            k, drop = tensor(col), tensor(1.0 - col)
+            h = add(multiply(h_new, k), multiply(h, drop))
+            c = add(multiply(c_new, k), multiply(c, drop))
+        outs[t] = concat([h, c])
+    return reshape(concat(outs), (bsz, steps, 2 * hid))
+
+
+# (name, steps, real tokens per row or None, reverse, zero start state)
+LSTM_CASES = [
+    ("forward", 5, None, False, True),
+    ("reverse", 5, None, True, True),
+    ("padded-forward", 5, (5, 3, 1), False, True),
+    ("padded-reverse", 5, (5, 3, 1), True, True),
+    ("one-step", 1, None, False, False),
+    ("one-step-padded", 1, (1, 0, 1), False, False),
+]
+
+
+def lstm_inputs(steps, lengths, zero_start, in_dim=4, hid=3, bsz=3, seed=0):
+    rng = np.random.default_rng(seed)
+    arrays = {
+        "x": rng.normal(size=(bsz, steps, in_dim)),
+        "w": rng.normal(scale=0.5, size=(in_dim, 4 * hid)),
+        "u": rng.normal(scale=0.5, size=(hid, 4 * hid)),
+        "b": rng.normal(scale=0.5, size=(4 * hid,)),
+        "h0": np.zeros((bsz, hid)) if zero_start else rng.normal(size=(bsz, hid)),
+        "c0": np.zeros((bsz, hid)) if zero_start else rng.normal(size=(bsz, hid)),
+    }
+    keep = None
+    if lengths is not None:
+        keep = (np.arange(steps)[None, :] < np.array(lengths)[:, None]).astype(np.float64)
+    return arrays, keep
+
+
+def rel_diff(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize(
+    "steps,lengths,reverse,zero_start", [c[1:] for c in LSTM_CASES], ids=[c[0] for c in LSTM_CASES]
+)
+class TestFusedLSTM:
+    """The fused `lstm` op against the per-gate cell it replaced."""
+
+    ORDER = ("x", "w", "u", "b", "h0", "c0")
+
+    def weighted_loss(self, op, keep, reverse):
+        def build(leaves):
+            out = op(*(leaves[k] for k in self.ORDER), keep, reverse)
+            weights = np.random.default_rng(11).normal(size=out.shape)
+            return reduce_sum(multiply(out, tensor(weights.astype(out.dtype))))
+
+        return build
+
+    def test_values_match_per_gate_cell(self, steps, lengths, reverse, zero_start):
+        arrays, keep = lstm_inputs(steps, lengths, zero_start)
+        leaves = [tensor(arrays[k]) for k in self.ORDER]
+        fused = lstm(*leaves, keep, reverse).values
+        oracle = per_gate_lstm(*leaves, keep, reverse).values
+        assert fused.shape == oracle.shape
+        assert rel_diff(fused, oracle) <= 1e-12
+
+    def test_gradients_match_per_gate_cell(self, steps, lengths, reverse, zero_start):
+        arrays, keep = lstm_inputs(steps, lengths, zero_start)
+        grads = []
+        for op in (lstm, per_gate_lstm):
+            leaves = {k: tensor(v) for k, v in arrays.items()}
+            got = backward(self.weighted_loss(op, keep, reverse)(leaves), wrt=leaves.values())
+            grads.append({k: got[t] for k, t in leaves.items()})
+        for k in self.ORDER:
+            assert rel_diff(grads[0][k], grads[1][k]) <= 1e-12, k
+
+    def test_gradient_check(self, steps, lengths, reverse, zero_start):
+        arrays, keep = lstm_inputs(steps, lengths, zero_start)
+        report = gradient_check(self.weighted_loss(lstm, keep, reverse), arrays, tolerance=1e-6)
+        assert report.passed, report.summary()
+
+    def test_float32(self, steps, lengths, reverse, zero_start):
+        arrays, keep = lstm_inputs(steps, lengths, zero_start)
+        oracle = per_gate_lstm(*(tensor(arrays[k]) for k in self.ORDER), keep, reverse).values
+        out = lstm(*(tensor(arrays[k], dtype=np.float32) for k in self.ORDER), keep, reverse)
+        assert out.dtype == np.float32
+        assert rel_diff(out.values.astype(np.float64), oracle) <= 1e-5
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_lstm_padded_steps_hold_the_state_exactly(reverse):
+    lengths = (5, 3, 1)
+    arrays, keep = lstm_inputs(5, lengths, zero_start=False)
+    out = lstm(*(tensor(arrays[k]) for k in TestFusedLSTM.ORDER), keep, reverse).values
+    start = np.concatenate([arrays["h0"], arrays["c0"]], axis=-1)
+    for row, n in enumerate(lengths):
+        # Forward, padding holds the last real step's state; reversed, the
+        # padded tail runs first and holds the start state.
+        held = start[row] if reverse else out[row, n - 1]
+        for t in range(n, 5):
+            np.testing.assert_array_equal(out[row, t], held)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
+from seqlab.data import task_seed
 from seqlab.errors import ContractError
-from seqlab.model import TAGS
+from seqlab.model import GATES, TAGS, param_shapes
 from seqlab.sharing import (
     EUCLIDEAN,
     SQUARED,
@@ -108,6 +109,50 @@ class TestRegistry:
         reg = ParamRegistry(tiny_config(), SharingPlan.solo())
         with pytest.raises(ContractError, match="unknown task"):
             reg.task("ghost")
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_fused_init_equals_per_gate_draws(self, dtype):
+        # The fused LSTM arrays start bitwise where the per-gate arrays of
+        # checkpoint version 1 started: same generator, same sorted names,
+        # each gate's draw packed into its block in (i, f, g, o) order.
+        cfg = tiny_config(emb_dim=5, hidden=7, dtype=dtype)
+        seed, init_range = 13, 0.3
+        plan = SharingPlan.preset("final", gamma=0.1)
+        reg = ParamRegistry(cfg, plan, seed=seed, init_range=init_range)
+        d, h = cfg.emb_dim, cfg.hidden
+        cells = {
+            "E1": {"fwd": d, "bwd": d},
+            "E2": {"fwd": 2 * h, "bwd": 2 * h},
+            "D1": {"cell": d},
+            "D2": {"cell": h},
+        }
+        per_gate = {tag: dict(group) for tag, group in param_shapes(cfg).items()}
+        for tag, prefixes in cells.items():
+            for prefix, in_dim in prefixes.items():
+                for kind in "wub":
+                    del per_gate[tag][f"{prefix}_{kind}"]
+                for gate in GATES:
+                    per_gate[tag][f"{prefix}_w{gate}"] = (in_dim, h)
+                    per_gate[tag][f"{prefix}_u{gate}"] = (h, h)
+                    per_gate[tag][f"{prefix}_b{gate}"] = (h,)
+        for task in ("a", "b"):
+            params = reg.add_task(task)
+            rng = np.random.default_rng(task_seed(seed, task, stream=0))
+            old = {
+                tag: {
+                    name: rng.uniform(-init_range, init_range, shape).astype(cfg.np_dtype)
+                    for name, shape in sorted(per_gate[tag].items())
+                }
+                for tag in TAGS
+            }
+            fused = {f"{p}_{k}" for prefixes in cells.values() for p in prefixes for k in "wub"}
+            for tag, name, t in params.named():
+                if name in fused:
+                    want = np.concatenate([old[tag][name + g] for g in GATES], axis=-1)
+                else:
+                    want = old[tag][name]
+                assert t.values.dtype == want.dtype
+                np.testing.assert_array_equal(t.values, want, err_msg=f"{tag}/{name}")
 
     def test_flat_names_cover_all_groups(self):
         params = single_task_params(tiny_config())

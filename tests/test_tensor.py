@@ -15,6 +15,7 @@ from seqlab.tensor import (
     backward,
     concat,
     gather,
+    getitem,
     gradient_check,
     log,
     matmul,
@@ -119,6 +120,15 @@ class TestShapeErrors:
     def test_gather_out_of_range(self):
         with pytest.raises(ContractError, match="gather"):
             gather(tensor(np.zeros((3, 2))), np.array([0, 3]))
+
+    def test_getitem_out_of_range(self):
+        with pytest.raises(DimensionError, match="getitem"):
+            getitem(tensor(np.zeros((2, 3))), (slice(None), 3))
+
+    @pytest.mark.parametrize("key", [np.array([0, 1]), [0, 1], True, None])
+    def test_getitem_rejects_advanced_indexing(self, key):
+        with pytest.raises(ContractError, match="getitem"):
+            getitem(tensor(np.zeros((2, 3))), key)
 
     def test_scatter_add_bucket_out_of_range(self):
         with pytest.raises(ContractError, match="scatter_add"):
@@ -266,6 +276,26 @@ class TestFiniteDifferences:
     def test_reshape(self):
         p = {"a": self.rng.normal(size=(2, 6))}
         fd_assert(self.weighted(lambda l: reshape(l["a"], (3, 4))), p)
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            (slice(None), 1, slice(None, 3)),
+            (..., slice(2, None)),
+            (-1, slice(None, None, 2)),
+            2,
+        ],
+    )
+    def test_getitem(self, key):
+        p = {"a": self.rng.normal(size=(3, 4, 5))}
+        fd_assert(self.weighted(lambda l: getitem(l["a"], key)), p)
+
+    def test_getitem_adjoint_is_zero_off_the_slice(self):
+        a = tensor(np.arange(24.0).reshape(2, 3, 4))
+        grads = backward(reduce_sum(getitem(a, (slice(None), 1, slice(None, 2)))))
+        expected = np.zeros((2, 3, 4))
+        expected[:, 1, :2] = 1.0
+        np.testing.assert_array_equal(grads[a], expected)
 
     def test_sigmoid(self):
         p = {"a": self.rng.normal(size=(7,))}

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import TINY_SPEC, tiny_config
 from seqlab.checkpoint import (
+    CHECKPOINT_VERSION,
     Checkpoint,
     load_checkpoint,
     restore_optimizer,
@@ -256,7 +257,7 @@ class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         cfg, params, state, vocab, path = small_setup(tmp_path)
         ckpt = load_checkpoint(path)
-        assert ckpt.version == 1
+        assert ckpt.version == CHECKPOINT_VERSION
         assert ckpt.step == 42
         assert ckpt.config == {"note": "unit"}
         assert ckpt.tasks == ("a",)
@@ -320,9 +321,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version 99"):
             load_checkpoint(path)
 
+    def test_version_1_per_gate_archive_is_refused(self, tmp_path):
+        # Version 1 stored every LSTM gate as its own array; this build
+        # reads only the fused layout and says which versions differ.
+        path = tmp_path / "v1.npz"
+        np.savez(
+            path,
+            version=np.array(1),
+            step=np.array(5),
+            config=np.array(json.dumps({})),
+            tasks=np.array(json.dumps(["a"])),
+            **{"params/a/E1/fwd_wi": np.zeros((8, 8))},
+        )
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert "version 1" in str(err.value)
+        assert f"version {CHECKPOINT_VERSION}" in str(err.value)
+
     def test_missing_required_field(self, tmp_path):
         path = tmp_path / "partial.npz"
-        np.savez(path, version=np.array(1), step=np.array(1))
+        np.savez(path, version=np.array(CHECKPOINT_VERSION), step=np.array(1))
         with pytest.raises(CheckpointError, match="config"):
             load_checkpoint(path)
 
