@@ -41,7 +41,7 @@ def main() -> None:
     # holds the entire search space, so it must find the global optimum.
     content_ids = [vocab.id(w) for w in spec.content()]
     example = encode_example(corpora.test[0], vocab)
-    best = beam_search(params, cfg, example, beam=27, max_len=3, min_len=3)[0]
+    best = beam_search(params, cfg, [example], beam=27, max_len=3, min_len=3)[0][0]
     ranked = sorted(
         itertools.product(content_ids, repeat=3),
         key=lambda seq: (-score_sequence(params, cfg, example, seq), seq),

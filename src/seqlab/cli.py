@@ -220,12 +220,13 @@ def cmd_decode(args) -> int:
         raise ConfigError(f"input file {args.input} holds no records")
     log.info("decoding %d sources with beam %d", len(inputs), dconf.beam)
 
+    encoded = [encode_source_only(ex, vocab) for ex in inputs]
+    pools = beam_search(
+        params, mcfg, encoded, beam=dconf.beam, max_len=dconf.max_len, min_len=dconf.min_len
+    )
     records = []
-    for ex in inputs:
-        enc = encode_source_only(ex, vocab)
-        best = beam_search(
-            params, mcfg, enc, beam=dconf.beam, max_len=dconf.max_len, min_len=dconf.min_len
-        )[0]
+    for ex, enc, pool in zip(inputs, encoded, pools):
+        best = pool[0]
         rec = {"source": " ".join(ex.source)}
         if ex.target:
             rec["reference"] = " ".join(ex.target)

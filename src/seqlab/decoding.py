@@ -1,6 +1,6 @@
-"""Greedy and beam-search decoding over the extended vocabulary.
+"""Batched beam search over the extended vocabulary; greedy is beam width 1.
 
-Both decoders run grad-free on a parameter snapshot.  Structural symbols
+Decoding runs grad-free on a parameter snapshot.  Structural symbols
 (padding, the start marker) and the unknown token are never emitted; the
 end token is admissible only once a hypothesis has at least `min_len`
 content tokens.  Copied out-of-vocabulary ids are fed back into the
@@ -11,24 +11,18 @@ own), and are mapped back to their source surface forms at text time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .data import END_ID, PAD_ID, START_ID, UNK_ID, EncodedExample, Batch, make_batch
 from .errors import ContractError
-from .model import (
-    DecodeContext,
-    EncoderOutput,
-    ModelConfig,
-    Params,
-    decode_step,
-    encode,
-    prepare_decoder,
-)
-from .tensor import Tensor, no_grad, tensor
+from .model import ModelConfig, Params, decode_step, encode, prepare_decoder
+from .tensor import no_grad, tensor
 
 __all__ = [
     "BANNED_IDS",
+    "ROW_BUDGET",
     "Hypothesis",
     "greedy_decode",
     "greedy_decode_batch",
@@ -37,6 +31,10 @@ __all__ = [
 ]
 
 BANNED_IDS = (PAD_ID, UNK_ID, START_ID)
+
+# Decoder rows per batched beam step: sources go through beam search in
+# chunks of max(1, ROW_BUDGET // beam), so 8 sources at beam 4.
+ROW_BUDGET = 32
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,6 @@ class Hypothesis:
 
     tokens: tuple[int, ...]
     logp: float
-    state: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     coverage: np.ndarray | None
     finished: bool = False
 
@@ -65,187 +62,141 @@ class Hypothesis:
         return self.logp / max(1, self.steps)
 
 
-def _single_context(params: Params, cfg: ModelConfig, example: EncodedExample):
-    batch = make_batch([example], dtype=cfg.np_dtype)
+def _context(params: Params, cfg: ModelConfig, examples: Sequence[EncodedExample]):
+    batch = make_batch(examples, dtype=cfg.np_dtype)
     enc = encode(params, cfg, batch.src_ids, batch.src_mask)
     return prepare_decoder(params, cfg, enc, batch.src_mask, batch.src_ext, batch.max_oov)
-
-
-def _tile(ctx: DecodeContext, k: int) -> DecodeContext:
-    """Replicate a one-row context into a k-row batch."""
-    if k == 1:
-        return ctx
-
-    def rep(t: Tensor) -> Tensor:
-        return tensor(np.repeat(t.values, k, axis=0))
-
-    enc = ctx.enc
-    tiled = EncoderOutput(
-        states=rep(enc.states),
-        init1=(rep(enc.init1[0]), rep(enc.init1[1])),
-        init2=(rep(enc.init2[0]), rep(enc.init2[1])),
-        src_len=enc.src_len,
-    )
-    return DecodeContext(
-        params=ctx.params,
-        cfg=ctx.cfg,
-        enc=tiled,
-        enc_feat=rep(ctx.enc_feat),
-        penalty=rep(ctx.penalty),
-        src_ext=np.repeat(ctx.src_ext, k, axis=0),
-        ext_size=ctx.ext_size,
-        d1=ctx.d1,
-        d2=ctx.d2,
-    )
 
 
 def greedy_decode_batch(
     params: Params, cfg: ModelConfig, batch: Batch, max_len: int, min_len: int = 0
 ) -> list[list[int]]:
-    """Argmax decode of every row; ties pick the lowest token id."""
-    if min_len > max_len:
-        raise ContractError(f"min_len {min_len} exceeds max_len {max_len}")
-    bsz = batch.src_ids.shape[0]
-    outputs: list[list[int]] = [[] for _ in range(bsz)]
-    if max_len == 0:
-        return outputs
-    with no_grad():
-        enc = encode(params, cfg, batch.src_ids, batch.src_mask)
-        ctx = prepare_decoder(
-            params, cfg, enc, batch.src_mask, batch.src_ext, batch.max_oov
-        )
-        state = ctx.init_state
-        coverage = ctx.fresh_coverage() if cfg.use_coverage else None
-        inputs = np.full(bsz, START_ID)
-        alive = np.ones(bsz, dtype=bool)
-        for _ in range(max_len):
-            out, state = decode_step(ctx, state, inputs, coverage)
-            probs = out.final_dist.values.copy()
-            probs[:, list(BANNED_IDS)] = 0.0
-            for i in range(bsz):
-                if len(outputs[i]) < min_len:
-                    probs[i, END_ID] = 0.0
-            choice = probs.argmax(axis=-1)
-            # a row whose every admissible token has zero mass simply ends
-            choice = np.where(probs[np.arange(bsz), choice] > 0.0, choice, END_ID)
-            for i in range(bsz):
-                if alive[i] and choice[i] != END_ID:
-                    outputs[i].append(int(choice[i]))
-            alive &= choice != END_ID
-            if not alive.any():
-                break
-            if coverage is not None:
-                coverage = tensor(coverage.values + out.alpha.values)
-            inputs = np.where(choice >= cfg.vocab_size, UNK_ID, choice)
-            inputs[~alive] = END_ID
-    return outputs
+    """Argmax decode of every row (beam width 1); ties pick the lowest token id."""
+    pools = beam_search(params, cfg, batch.examples, beam=1, max_len=max_len, min_len=min_len)
+    return [list(pool[0].tokens) for pool in pools]
 
 
 def greedy_decode(
     params: Params, cfg: ModelConfig, example: EncodedExample, max_len: int, min_len: int = 0
 ) -> list[int]:
-    """Greedy token ids for one source."""
-    batch = make_batch([example], dtype=cfg.np_dtype)
-    return greedy_decode_batch(params, cfg, batch, max_len, min_len)[0]
+    """Argmax token ids for one source (beam width 1)."""
+    pools = beam_search(params, cfg, [example], beam=1, max_len=max_len, min_len=min_len)
+    return list(pools[0][0].tokens)
 
 
 def beam_search(
     params: Params,
     cfg: ModelConfig,
-    example: EncodedExample,
+    examples: Sequence[EncodedExample],
     beam: int,
     max_len: int,
     min_len: int = 0,
-) -> list[Hypothesis]:
-    """Beam expansion over P_f, best-first, deterministic.
+) -> list[list[Hypothesis]]:
+    """Beam expansion over P_f for every source, best-first, deterministic.
 
-    Hypotheses that choose the end token move to the finished pool with
-    that step's log-probability included; the rest are pruned to the top
-    `beam` by cumulative log-probability.  Anything still alive at
-    `max_len` is kept as a forced (unfinished) candidate.  The return is
-    sorted by length-normalized score and always holds at least one entry.
+    Returns one list per source, in input order.  Sources are decoded
+    together, `beam` decoder rows each, in chunks of at most `ROW_BUDGET`
+    rows (at least one source per chunk).  Hypotheses that choose the end
+    token move to their source's finished pool with that step's
+    log-probability included; the rest are pruned to the top `beam` by
+    cumulative log-probability, ties going to the earlier parent, then the
+    lower id.  A source stops at the first step whose best candidate is the
+    end token, since no continuation can reach a higher summed
+    log-probability; at beam 1 this is greedy decoding.  Anything still
+    alive at `max_len`, or at a step where none of its source's live
+    hypotheses has an admissible continuation, is kept as a forced
+    (unfinished) candidate.  Each list is sorted by length-normalized score
+    and holds between one and `beam` entries.
     """
     if beam < 1:
         raise ContractError(f"beam must be >= 1, got {beam}")
     if min_len > max_len:
         raise ContractError(f"min_len {min_len} exceeds max_len {max_len}")
+    per_chunk = max(1, ROW_BUDGET // beam)
+    pools: list[list[Hypothesis]] = []
     with no_grad():
-        base = _single_context(params, cfg, example)
-        src_len = base.enc.src_len
-        init_cov = np.zeros(src_len, dtype=cfg.np_dtype) if cfg.use_coverage else None
-        live = [
-            Hypothesis(
-                tokens=(),
-                logp=0.0,
-                state=tuple(s.values[0] for s in base.init_state),
-                coverage=init_cov,
-            )
-        ]
-        finished: list[Hypothesis] = []
-        contexts: dict[int, DecodeContext] = {1: base}
-        for _ in range(max_len):
-            k = len(live)
-            ctx = contexts.get(k)
-            if ctx is None:
-                ctx = contexts[k] = _tile(base, k)
-            state = tuple(
-                tensor(np.stack([h.state[j] for h in live])) for j in range(4)
-            )
-            inputs = np.array(
-                [h.tokens[-1] if h.tokens else START_ID for h in live]
-            )
-            inputs = np.where(inputs >= cfg.vocab_size, UNK_ID, inputs)
-            cov = (
-                tensor(np.stack([h.coverage for h in live]))
-                if cfg.use_coverage
-                else None
-            )
-            out, new_state = decode_step(ctx, state, inputs, cov)
-            probs = out.final_dist.values
-            with np.errstate(divide="ignore"):
-                logp = np.log(probs)
-            logp[:, list(BANNED_IDS)] = -np.inf
-            for i, h in enumerate(live):
-                if len(h.tokens) < min_len:
-                    logp[i, END_ID] = -np.inf
-            totals = logp + np.array([h.logp for h in live])[:, None]
-            flat = totals.ravel()
-            # stable sort: ties resolve to the earlier parent, then lower id
-            order = np.argsort(-flat, kind="stable")
-            width = probs.shape[1]
-            alphas = out.alpha.values
-            rows = tuple(s.values for s in new_state)
-            next_live: list[Hypothesis] = []
-            for idx in order:
-                if len(next_live) >= beam:
-                    break
-                score = float(flat[idx])
-                if score == -np.inf:
-                    break
-                i, tok = divmod(int(idx), width)
-                parent = live[i]
-                cov_i = (
-                    parent.coverage + alphas[i] if cfg.use_coverage else None
-                )
-                child_state = tuple(r[i] for r in rows)
-                if tok == END_ID:
-                    finished.append(
-                        Hypothesis(parent.tokens, score, child_state, cov_i, True)
-                    )
-                else:
-                    next_live.append(
-                        Hypothesis(parent.tokens + (tok,), score, child_state, cov_i)
-                    )
-            live = next_live
-            if not live:
-                break
-    pool = finished + live
-    if not pool:  # max_len 0, or no admissible first token
-        pool = [
-            Hypothesis((), 0.0, tuple(s.values[0] for s in base.init_state), init_cov)
-        ]
-    pool.sort(key=lambda h: (-h.score, h.tokens))
-    return pool[:beam]
+        for lo in range(0, len(examples), per_chunk):
+            chunk = examples[lo : lo + per_chunk]
+            pools.extend(_beam_chunk(params, cfg, chunk, beam, max_len, min_len))
+    return pools
+
+
+def _beam_chunk(
+    params: Params,
+    cfg: ModelConfig,
+    examples: Sequence[EncodedExample],
+    k: int,
+    max_len: int,
+    min_len: int,
+) -> list[list[Hypothesis]]:
+    """One beam over `len(examples) * k` rows; source s owns rows s*k ... s*k+k-1."""
+    n = len(examples)
+    rows = n * k
+    src_lens = [len(ex.src_ids) for ex in examples]
+    # each source enters the batch k times, one decoder row per beam slot
+    ctx = _context(params, cfg, [ex for ex in examples for _ in range(k)])
+    state = ctx.init_state
+    cov = ctx.fresh_coverage().values if cfg.use_coverage else None
+    # cumulative log-probability per row; an empty slot is -inf
+    logp = np.full(rows, -np.inf)
+    logp[::k] = 0.0
+    seqs = np.zeros((rows, 0), dtype=np.int64)  # every live row has t tokens at step t
+    inputs = np.full(rows, START_ID)
+    pools: list[list[Hypothesis]] = [[] for _ in range(n)]
+
+    def hyp(row: int, score: float, coverage: np.ndarray | None, finished: bool) -> Hypothesis:
+        own = None if coverage is None else coverage[row, : src_lens[row // k]].copy()
+        return Hypothesis(tuple(seqs[row].tolist()), float(score), own, finished)
+
+    def keep_forced(sources) -> None:
+        for s in sources:
+            for row in range(s * k, s * k + k):
+                if logp[row] > -np.inf:
+                    pools[s].append(hyp(row, logp[row], cov, False))
+
+    for t in range(max_len):
+        out, new_state = decode_step(ctx, state, inputs, None if cov is None else tensor(cov))
+        with np.errstate(divide="ignore"):
+            step = np.log(out.final_dist.values)
+        step[:, list(BANNED_IDS)] = -np.inf
+        if t < min_len:
+            step[:, END_ID] = -np.inf
+        width = step.shape[1]
+        totals = (step + logp[:, None]).reshape(n, k * width)
+        # Stable sort: ties resolve to the earlier parent, then lower id.  A
+        # source's top 2k candidates suffice: each parent has one end
+        # candidate, so at most k of them precede its k-th live one.
+        order = np.argsort(-totals, axis=1, kind="stable")[:, : 2 * k]
+        scores = np.take_along_axis(totals, order, axis=1)
+        parent, tok = np.divmod(order, width)
+        admissible = scores > -np.inf
+        keep_forced(np.flatnonzero(~admissible[:, 0]))
+        grows = admissible & (tok != END_ID)
+        ahead = np.cumsum(grows, axis=1) - grows  # live candidates ranked above
+        child_cov = None if cov is None else cov + out.alpha.values
+        for s, j in zip(*np.nonzero(admissible & ~grows & (ahead < k))):
+            pools[s].append(hyp(s * k + parent[s, j], scores[s, j], child_cov, True))
+        # a source whose best candidate is an end stops (each later step
+        # adds log P_f <= 0, so no continuation reaches a higher total)
+        src, col = np.nonzero(grows & (ahead < k) & (tok[:, :1] != END_ID))
+        dest = src * k + ahead[src, col]
+        from_row = np.arange(rows)  # empty slots carry their own row along
+        from_row[dest] = src * k + parent[src, col]
+        logp = np.full(rows, -np.inf)
+        logp[dest] = scores[src, col]
+        if not dest.size:
+            break
+        last = np.full(rows, END_ID)
+        last[dest] = tok[src, col]
+        seqs = np.concatenate([seqs[from_row], last[:, None]], axis=1)
+        state = tuple(tensor(x.values[from_row]) for x in new_state)
+        if cov is not None:
+            cov = child_cov[from_row]
+        inputs = np.where(last >= cfg.vocab_size, UNK_ID, last)
+    keep_forced(range(n))
+    for pool in pools:
+        pool.sort(key=lambda h: (-h.score, h.tokens))
+    return [pool[:k] for pool in pools]
 
 
 def score_sequence(
@@ -264,7 +215,7 @@ def score_sequence(
     token_ids = list(token_ids)
     targets = token_ids + ([END_ID] if include_end else [])
     with no_grad():
-        ctx = _single_context(params, cfg, example)
+        ctx = _context(params, cfg, [example])
         state = ctx.init_state
         coverage = ctx.fresh_coverage() if cfg.use_coverage else None
         prev = START_ID

@@ -393,7 +393,7 @@ def test_criterion_7_beam_optimality(tmp_path):
     assert len(corp.test) == 50
     for ex in corp.test:
         enc = encode_example(ex, vocab)
-        best = beam_search(params, cfg, enc, beam=27, max_len=3, min_len=3)[0]
+        best = beam_search(params, cfg, [enc], beam=27, max_len=3, min_len=3)[0][0]
         assert len(best.tokens) == 3
         ranked = sorted(
             itertools.product(content_ids, repeat=3),

@@ -19,11 +19,12 @@ from seqlab.data import (
     SynthSpec,
     Vocab,
     encode_source_only,
+    gen_copy,
     ids_to_tokens,
     make_task_corpora,
     save_corpus,
 )
-from seqlab.decoding import greedy_decode
+from seqlab.decoding import ROW_BUDGET, beam_search, greedy_decode
 from seqlab.model import ModelConfig
 from seqlab.sharing import ParamRegistry, SharingPlan
 from seqlab.tensor import Tensor, multiply, reduce_sum
@@ -274,6 +275,36 @@ class TestDecodeCommand:
             ids = greedy_decode(params, mcfg, enc, max_len=6)
             expected = " ".join(ids_to_tokens(ids, vocab, enc.oovs))
             assert json.loads(line)["hypothesis"] == expected
+
+    def test_records_keep_input_order_across_chunks(self, trained, tmp_path, capsys):
+        # more sources than two beam-4 chunks hold, decoded in both orders
+        _, mcfg, vocab, params = self.load_decoder(trained)
+        examples = gen_copy(np.random.default_rng(9), 2 * (ROW_BUDGET // 4) + 3, SPEC)
+        src = tmp_path / "sources.jsonl"
+        for order in (examples, examples[::-1]):
+            save_corpus(src, order)
+            rc = main(
+                [
+                    "decode",
+                    "--checkpoint",
+                    str(trained["checkpoint"]),
+                    "--input",
+                    str(src),
+                    "--beam",
+                    "4",
+                    "--max-len",
+                    "6",
+                ]
+            )
+            out = capsys.readouterr().out
+            assert rc == EXIT_OK
+            records = [json.loads(line) for line in out.splitlines()]
+            assert [r["source"] for r in records] == [" ".join(ex.source) for ex in order]
+            for rec, ex in zip(records, order):
+                enc = encode_source_only(ex, vocab)
+                best = beam_search(params, mcfg, [enc], beam=4, max_len=6)[0][0]
+                assert rec["hypothesis"] == " ".join(ids_to_tokens(best.tokens, vocab, enc.oovs))
+                assert rec["score"] == pytest.approx(best.score, rel=1e-10, abs=1e-10)
 
     def test_config_decode_defaults_apply(self, trained, tmp_path, capsys):
         # run config pinned max_len 6; hypotheses can never exceed it

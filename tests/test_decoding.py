@@ -1,11 +1,13 @@
-"""Greedy and beam-search decoding."""
+"""Batched beam search, and greedy decoding as beam width 1."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from conftest import TINY_SPEC, tiny_batch, tiny_config
+from seqlab import decoding
 from seqlab.data import (
     END_ID,
     PAD_ID,
@@ -18,6 +20,8 @@ from seqlab.data import (
     make_batch,
 )
 from seqlab.decoding import (
+    BANNED_IDS,
+    ROW_BUDGET,
     Hypothesis,
     beam_search,
     greedy_decode,
@@ -43,6 +47,39 @@ def one_example(seed=1, with_oov=True):
     rng = np.random.default_rng(seed)
     ex = gen_copy(rng, 1, spec)[0]
     return encode_example(ex, spec.vocab())
+
+
+def mixed_corpus(n, seed=5):
+    """Sources of 2 to 12 words, about a third of them out of vocabulary."""
+    spec = SynthSpec(content_words=16, oov_pool=5, min_len=2, max_len=12, oov_rate=0.3)
+    rng = np.random.default_rng(seed)
+    return [encode_example(ex, spec.vocab()) for ex in gen_copy(rng, n, spec)]
+
+
+def argmax_decode(params, cfg, example, max_len, min_len=0):
+    """Reference greedy decoding: the most probable admissible token at each
+    step (lowest id on ties) until the end token or a step with no mass."""
+    with no_grad():
+        batch = make_batch([example], dtype=cfg.np_dtype)
+        enc = encode(params, cfg, batch.src_ids, batch.src_mask)
+        ctx = prepare_decoder(params, cfg, enc, batch.src_mask, batch.src_ext, batch.max_oov)
+        state = ctx.init_state
+        coverage = ctx.fresh_coverage() if cfg.use_coverage else None
+        prev, ids = START_ID, []
+        for t in range(max_len):
+            out, state = decode_step(ctx, state, np.array([prev]), coverage)
+            probs = out.final_dist.values[0].copy()
+            probs[list(BANNED_IDS)] = 0.0
+            if t < min_len:
+                probs[END_ID] = 0.0
+            tok = int(probs.argmax())
+            if tok == END_ID or probs[tok] == 0.0:
+                break
+            ids.append(tok)
+            if coverage is not None:
+                coverage = tensor(coverage.values + out.alpha.values)
+            prev = tok if tok < cfg.vocab_size else UNK_ID
+    return ids
 
 
 class TestGreedy:
@@ -111,39 +148,86 @@ class TestBeam:
         cfg, params = fresh()
         for seed in range(4):
             ex = one_example(seed)
-            hyp = beam_search(params, cfg, ex, beam=1, max_len=8)[0]
+            hyp = beam_search(params, cfg, [ex], beam=1, max_len=8)[0][0]
             assert list(hyp.tokens) == greedy_decode(params, cfg, ex, max_len=8)
+
+    def test_beam_one_is_argmax_decoding(self):
+        # A bias towards the end token makes it win early; a beam that kept
+        # decoding past it could return a longer hypothesis instead.
+        for bias in (0.0, 1.0, 2.0, 3.0):
+            for seed in range(6):
+                cfg, params = fresh(seed)
+                params["Out"]["vocab_b"].values[END_ID] += bias
+                rng = np.random.default_rng(seed)
+                examples = [
+                    encode_example(ex, TINY_SPEC.vocab()) for ex in gen_copy(rng, 8, TINY_SPEC)
+                ]
+                for min_len in (0, 2):
+                    pools = beam_search(params, cfg, examples, beam=1, max_len=8, min_len=min_len)
+                    for ex, pool in zip(examples, pools):
+                        expected = argmax_decode(params, cfg, ex, 8, min_len)
+                        assert list(pool[0].tokens) == expected
+
+    @pytest.mark.parametrize("beam", [1, 3])
+    def test_dead_end_keeps_live_tokens(self, beam, monkeypatch):
+        # From the second step on every token has zero mass: the hypotheses
+        # alive at that step are kept as forced candidates, tokens and all.
+        cfg, params = fresh()
+        ex = one_example()
+        expected = beam_search(params, cfg, [ex], beam=beam, max_len=1, min_len=1)[0]
+        real = decoding.decode_step
+        calls = []
+
+        def starved(ctx, state, ids, coverage):
+            out, new_state = real(ctx, state, ids, coverage)
+            calls.append(len(ids))
+            if len(calls) >= 2:
+                zeros = tensor(np.zeros_like(out.final_dist.values))
+                out = dataclasses.replace(out, final_dist=zeros)
+            return out, new_state
+
+        monkeypatch.setattr(decoding, "decode_step", starved)
+        hyps = beam_search(params, cfg, [ex], beam=beam, max_len=8, min_len=1)[0]
+        assert len(calls) == 2
+        assert len(hyps) == beam
+        assert [(h.tokens, h.logp, h.finished) for h in hyps] == [
+            (h.tokens, h.logp, h.finished) for h in expected
+        ]
+        assert all(len(h.tokens) == 1 and not h.finished for h in hyps)
+        calls.clear()
+        greedy = greedy_decode(params, cfg, ex, max_len=8, min_len=1)
+        assert greedy == list(hyps[0].tokens)
 
     def test_returns_sorted_capped_list(self):
         cfg, params = fresh()
-        hyps = beam_search(params, cfg, one_example(), beam=3, max_len=6)
+        hyps = beam_search(params, cfg, [one_example()], beam=3, max_len=6)[0]
         assert 1 <= len(hyps) <= 3
         scores = [h.score for h in hyps]
         assert scores == sorted(scores, reverse=True)
 
     def test_always_at_least_one_hypothesis(self):
         cfg, params = fresh()
-        hyps = beam_search(params, cfg, one_example(), beam=2, max_len=0)
+        hyps = beam_search(params, cfg, [one_example()], beam=2, max_len=0)[0]
         assert len(hyps) == 1
         assert hyps[0].tokens == () and hyps[0].logp == 0.0
 
     def test_min_len_blocks_early_end(self):
         cfg, params = fresh()
-        hyps = beam_search(params, cfg, one_example(), beam=4, max_len=8, min_len=2)
+        hyps = beam_search(params, cfg, [one_example()], beam=4, max_len=8, min_len=2)[0]
         for h in hyps:
             assert len(h.tokens) >= 2
 
     def test_logp_is_sum_of_step_logps(self):
         cfg, params = fresh()
         ex = one_example()
-        for h in beam_search(params, cfg, ex, beam=3, max_len=5):
+        for h in beam_search(params, cfg, [ex], beam=3, max_len=5)[0]:
             replay = score_sequence(params, cfg, ex, h.tokens, include_end=h.finished)
             assert h.logp == pytest.approx(replay, rel=1e-10, abs=1e-10)
 
     def test_coverage_is_own_attention_sum(self):
         cfg, params = fresh()
         ex = one_example()
-        hyp = beam_search(params, cfg, ex, beam=2, max_len=5)[0]
+        hyp = beam_search(params, cfg, [ex], beam=2, max_len=5)[0][0]
         # replay the hypothesis and accumulate attention by hand
         with no_grad():
             batch = make_batch([ex], dtype=cfg.np_dtype)
@@ -178,29 +262,60 @@ class TestBeam:
                 lp = score_sequence(params, cfg, ex, seq)
                 if lp > best_lp:
                     best_ids, best_lp = seq, lp
-            hyp = beam_search(params, cfg, ex, beam=9, max_len=2, min_len=2)[0]
+            hyp = beam_search(params, cfg, [ex], beam=9, max_len=2, min_len=2)[0][0]
             assert hyp.tokens == best_ids
             assert hyp.logp == pytest.approx(best_lp, rel=1e-12)
 
     def test_no_coverage_model(self):
         cfg, params = fresh(use_coverage=False)
-        hyps = beam_search(params, cfg, one_example(), beam=2, max_len=4)
+        hyps = beam_search(params, cfg, [one_example()], beam=2, max_len=4)[0]
         assert hyps[0].coverage is None
 
     def test_validation(self):
         cfg, params = fresh()
         with pytest.raises(ContractError, match="beam"):
-            beam_search(params, cfg, one_example(), beam=0, max_len=3)
+            beam_search(params, cfg, [one_example()], beam=0, max_len=3)
         with pytest.raises(ContractError, match="min_len"):
-            beam_search(params, cfg, one_example(), beam=2, max_len=3, min_len=4)
+            beam_search(params, cfg, [one_example()], beam=2, max_len=3, min_len=4)
 
     def test_score_normalizes_by_steps(self):
-        h = Hypothesis(tokens=(5, 6), logp=-3.0, state=(None,) * 4, coverage=None, finished=True)
+        h = Hypothesis(tokens=(5, 6), logp=-3.0, coverage=None, finished=True)
         assert h.steps == 3
         assert h.score == pytest.approx(-1.0)
-        forced = Hypothesis(tokens=(5, 6), logp=-3.0, state=(None,) * 4, coverage=None)
+        forced = Hypothesis(tokens=(5, 6), logp=-3.0, coverage=None)
         assert forced.steps == 2
         assert forced.score == pytest.approx(-1.5)
+
+
+class TestBatchedBeam:
+    @pytest.mark.parametrize("beam", [1, 4])
+    @pytest.mark.parametrize(
+        "pointer,coverage", [(True, True), (True, False), (False, True), (False, False)]
+    )
+    def test_batch_matches_solo(self, beam, pointer, coverage):
+        # more than two chunks of sources, of mixed lengths and OOV counts
+        cfg, params = fresh(use_pointer=pointer, use_coverage=coverage)
+        # an end-token bias so that pools mix finished and forced hypotheses
+        params["Out"]["vocab_b"].values[END_ID] += 2.0 if pointer else 1.0
+        n = 2 * (ROW_BUDGET // beam) + 3
+        examples = mixed_corpus(n)
+        assert len({len(ex.src_ids) for ex in examples}) > 5
+        assert len({len(ex.oovs) for ex in examples}) > 2
+        pools = beam_search(params, cfg, examples, beam=beam, max_len=8)
+        assert len(pools) == n
+        finished = total = 0
+        for ex, pool in zip(examples, pools):
+            solo = beam_search(params, cfg, [ex], beam=beam, max_len=8)[0]
+            assert [(h.tokens, h.finished) for h in pool] == [(h.tokens, h.finished) for h in solo]
+            for h, s in zip(pool, solo):
+                assert h.score == pytest.approx(s.score, rel=1e-10, abs=1e-10)
+            finished += sum(h.finished for h in pool)
+            total += len(pool)
+        assert 0 < finished < total
+
+    def test_empty_input(self):
+        cfg, params = fresh()
+        assert beam_search(params, cfg, [], beam=4, max_len=5) == []
 
 
 class TestScoreSequence:
