@@ -25,6 +25,14 @@ max-shifted softmax turns into exactly zero attention.
 The per-step coverage penalty is sum_i min(attention_i, coverage_i); both
 it and the token negative log-likelihood are averaged over real decoder
 steps per example, then over the batch.
+
+Under teacher forcing (`forward_loss`) the decoder LSTMs read only the gold
+previous token and the layer below, never the attention context, so ``D1``
+and ``D2`` each run once over the whole target, as the encoder layers do,
+and the attention query, output layers, copy gate and loss each run once
+over [B, T, ...].  Only attention steps one position at a time, because
+coverage feeds each step's attention into the next.  Decoding
+(`decode_step`) calls the same functions on one step at a time.
 """
 
 from __future__ import annotations
@@ -237,9 +245,14 @@ def mask_penalty(src_mask: np.ndarray, dt=np.float64) -> Tensor:
     return tensor(((1.0 - src_mask) * MASK_PENALTY).astype(dt))
 
 
+def attention_query(attn: ParamGroup, dec_state: Tensor) -> Tensor:
+    """The decoder-state feature of additive attention, for any leading shape."""
+    return add(matmul(dec_state, attn["dec_w"]), attn["bias"])
+
+
 def attention_step(
     attn: ParamGroup,
-    dec_state: Tensor,
+    query: Tensor,
     enc_states: Tensor,
     coverage: Tensor | None,
     penalty: Tensor,
@@ -247,15 +260,15 @@ def attention_step(
 ) -> tuple[Tensor, Tensor]:
     """Additive attention with an optional coverage feature.
 
-    Returns (attention weights [B, T], context vector [B, 2h]).  Pass
-    ``enc_feat`` (the projected encoder states) to amortize that product
-    across decode steps; ``coverage=None`` drops the coverage feature.
+    ``query`` [B, a] is `attention_query` of the decoder state.  Returns
+    (attention weights [B, T], context vector [B, 2h]).  Pass ``enc_feat``
+    (the projected encoder states) to amortize that product across decode
+    steps; ``coverage=None`` drops the coverage feature.
     """
     bsz, steps, _ = enc_states.shape
     if enc_feat is None:
         enc_feat = matmul(enc_states, attn["enc_w"])
-    dec_feat = add(matmul(dec_state, attn["dec_w"]), attn["bias"])
-    feats = add(enc_feat, reshape(dec_feat, (bsz, 1, -1)))
+    feats = add(enc_feat, reshape(query, (bsz, 1, -1)))
     if coverage is not None:
         cov_feat = multiply(reshape(coverage, (bsz, steps, 1)), attn["cov_w"])
         feats = add(feats, cov_feat)
@@ -282,8 +295,14 @@ def generation_prob(ptr: ParamGroup, context: Tensor, dec_state: Tensor, prev_em
 
 
 def copy_distribution(alpha: Tensor, src_ext: np.ndarray, ext_size: int) -> Tensor:
-    """Scatter attention mass onto extended token ids (duplicates add up)."""
-    return scatter_add(alpha, src_ext, ext_size)
+    """Scatter attention mass onto extended token ids (duplicates add up).
+
+    ``alpha`` is [B, ..., S] and ``src_ext`` [B, S]: every step of a row
+    copies from that row's source.
+    """
+    lead = (src_ext.shape[0],) + (1,) * (len(alpha.shape) - 2)
+    ids = np.broadcast_to(src_ext.reshape(lead + src_ext.shape[1:]), alpha.shape)
+    return scatter_add(alpha, ids, ext_size)
 
 
 def final_distribution(p_gen: Tensor, vocab_dist: Tensor, copy_dist: Tensor) -> Tensor:
@@ -297,7 +316,7 @@ def final_distribution(p_gen: Tensor, vocab_dist: Tensor, copy_dist: Tensor) -> 
     if e < v:
         raise ContractError(f"final_distribution: extended size {e} below vocab {v}")
     if e > v:
-        pad = tensor(np.zeros((vocab_dist.shape[0], e - v), dtype=vocab_dist.dtype))
+        pad = tensor(np.zeros(vocab_dist.shape[:-1] + (e - v,), dtype=vocab_dist.dtype))
         vocab_dist = concat([vocab_dist, pad])
     stay = subtract(tensor(np.ones((1, 1), dtype=copy_dist.dtype)), p_gen)
     return add(multiply(vocab_dist, p_gen), multiply(copy_dist, stay))
@@ -353,11 +372,31 @@ def prepare_decoder(
 
 @dataclass
 class StepOutput:
+    """The decoder's outputs for one step ([B, ...]) or for all steps ([B, T, ...])."""
+
     alpha: Tensor
     context: Tensor
     vocab_dist: Tensor
     final_dist: Tensor
     p_gen: Tensor | None
+
+
+def output_distributions(
+    ctx: DecodeContext, dec_state: Tensor, context: Tensor, alpha: Tensor, prev_emb: Tensor
+) -> StepOutput:
+    """The vocabulary, copy and mixed distributions, for any leading shape."""
+    params, cfg = ctx.params, ctx.cfg
+    vocab_dist = vocab_distribution(params["Out"], dec_state, context)
+    if cfg.use_pointer:
+        p_gen = generation_prob(params["Ptr"], context, dec_state, prev_emb)
+        copy_dist = copy_distribution(alpha, ctx.src_ext, ctx.ext_size)
+        final = final_distribution(p_gen, vocab_dist, copy_dist)
+    else:
+        if ctx.ext_size != cfg.vocab_size:
+            raise ContractError("output_distributions: extended ids need the pointer enabled")
+        p_gen = None
+        final = vocab_dist
+    return StepOutput(alpha, context, vocab_dist, final, p_gen)
 
 
 def decode_step(
@@ -379,20 +418,11 @@ def decode_step(
     emb = gather(params["Emb"]["table"], input_ids)
     h1, c1 = lstm_step(ctx.d1, emb, h1, c1)
     h2, c2 = lstm_step(ctx.d2, h1, h2, c2)
+    query = attention_query(params["Attn"], h2)
     alpha, context = attention_step(
-        params["Attn"], h2, ctx.enc.states, coverage, ctx.penalty, ctx.enc_feat
+        params["Attn"], query, ctx.enc.states, coverage, ctx.penalty, ctx.enc_feat
     )
-    vocab_dist = vocab_distribution(params["Out"], h2, context)
-    if cfg.use_pointer:
-        p_gen = generation_prob(params["Ptr"], context, h2, emb)
-        copy_dist = copy_distribution(alpha, ctx.src_ext, ctx.ext_size)
-        final = final_distribution(p_gen, vocab_dist, copy_dist)
-    else:
-        if ctx.ext_size != cfg.vocab_size:
-            raise ContractError("decode_step: extended ids need the pointer enabled")
-        p_gen = None
-        final = vocab_dist
-    return StepOutput(alpha, context, vocab_dist, final, p_gen), (h1, c1, h2, c2)
+    return output_distributions(ctx, h2, context, alpha, emb), (h1, c1, h2, c2)
 
 
 @dataclass
@@ -400,19 +430,37 @@ class LossParts:
     nll: Tensor
     coverage: Tensor | None
     total: Tensor
-    steps: list[StepOutput] | None = None
+    outputs: StepOutput                     # every step at once, [B, T, ...]
+    steps: list[StepOutput] | None = None   # slices of `outputs`, one per step
 
 
 def step_nll(final_dist: Tensor, gold_ids: np.ndarray) -> Tensor:
-    """Per-row log-likelihood of the gold token under the mixed distribution."""
-    bsz, width = final_dist.shape
+    """Log-likelihood of each gold token under the mixed distribution.
+
+    ``final_dist`` is [..., W] and ``gold_ids`` holds one id for each of its
+    rows, shaped like ``final_dist`` without the last axis.
+    """
+    width = final_dist.shape[-1]
+    if gold_ids.shape != final_dist.shape[:-1]:
+        raise ContractError(
+            f"step_nll: gold ids {gold_ids.shape} do not match distribution {final_dist.shape}"
+        )
     if gold_ids.min(initial=0) < 0 or gold_ids.max(initial=0) >= width:
         raise ContractError(
             f"step_nll: gold id outside distribution of width {width}"
         )
-    onehot = np.zeros((bsz, width), dtype=final_dist.dtype)
-    onehot[np.arange(bsz), gold_ids] = 1.0
+    onehot = (gold_ids[..., None] == np.arange(width)).astype(final_dist.dtype)
     return log(reduce_sum(multiply(final_dist, tensor(onehot)), axis=-1))
+
+
+def _stack_steps(parts: list[Tensor]) -> Tensor:
+    """Per-step tensors [B, X] as one [B, T, X]."""
+    return reshape(concat(parts), (parts[0].shape[0], len(parts), -1))
+
+
+def _step_slice(out: StepOutput, t: int) -> StepOutput:
+    parts = (out.alpha, out.context, out.vocab_dist, out.final_dist, out.p_gen)
+    return StepOutput(*(None if x is None else getitem(x, (slice(None), t)) for x in parts))
 
 
 def forward_loss(
@@ -425,15 +473,17 @@ def forward_loss(
 ) -> LossParts:
     """Teacher-forced loss over a batch.
 
+    Everything but attention runs once over the whole target (see the
+    module docstring).  ``collect_steps`` adds each step's outputs as
+    slices of ``LossParts.outputs``.
+
     Token negative log-likelihood and the coverage penalty are both averaged
     over each example's real decoder steps, then over the batch; the total
     is ``nll + cov_weight * coverage``.
     """
     if use_coverage is None:
         use_coverage = cfg.use_coverage
-    dt = cfg.np_dtype
-    bsz = batch.src_ids.shape[0]
-    dec_len = batch.dec_in.shape[1]
+    bsz, dec_len = batch.dec_in.shape
     gold = batch.dec_out
     if not cfg.use_pointer:
         # Without a pointer the model can never emit extended ids: collapse
@@ -442,31 +492,40 @@ def forward_loss(
 
     enc = encode(params, cfg, batch.src_ids, batch.src_mask)
     ctx = prepare_decoder(params, cfg, enc, batch.src_mask, batch.src_ext, batch.max_oov)
-    state = ctx.init_state
+    h1_0, c1_0, h2_0, c2_0 = ctx.init_state
+    hid = cfg.hidden
+    emb = gather(params["Emb"]["table"], batch.dec_in)                      # [B, T, d]
+    h1 = getitem(lstm(emb, *ctx.d1, h1_0, c1_0), (..., slice(None, hid)))
+    h2 = getitem(lstm(h1, *ctx.d2, h2_0, c2_0), (..., slice(None, hid)))  # [B, T, h]
+    query = attention_query(params["Attn"], h2)
+
     coverage = ctx.fresh_coverage() if use_coverage else None
-
-    logp_acc: Tensor | None = None
-    cov_acc: Tensor | None = None
-    steps: list[StepOutput] = []
+    alphas: list[Tensor] = []
+    contexts: list[Tensor] = []
+    coverages: list[Tensor] = []  # the coverage each step starts from
     for t in range(dec_len):
-        out, state = decode_step(ctx, state, batch.dec_in[:, t], coverage)
-        mask_col = tensor(batch.dec_mask[:, t].astype(dt))
-        logp = multiply(step_nll(out.final_dist, gold[:, t]), mask_col)
-        logp_acc = logp if logp_acc is None else add(logp_acc, logp)
+        alpha, context = attention_step(
+            params["Attn"], getitem(query, (slice(None), t)), enc.states, coverage,
+            ctx.penalty, ctx.enc_feat,
+        )
+        alphas.append(alpha)
+        contexts.append(context)
         if use_coverage:
-            overlap = reduce_sum(minimum(out.alpha, coverage), axis=-1)
-            overlap = multiply(overlap, mask_col)
-            cov_acc = overlap if cov_acc is None else add(cov_acc, overlap)
-            coverage = add(coverage, out.alpha)
-        if collect_steps:
-            steps.append(out)
+            coverages.append(coverage)
+            coverage = add(coverage, alpha)
+    alpha = _stack_steps(alphas)                                            # [B, T, S]
+    out = output_distributions(ctx, h2, _stack_steps(contexts), alpha, emb)
 
-    inv_steps = tensor((1.0 / batch.dec_mask.sum(axis=1)).astype(dt))
-    nll = scale(reduce_sum(multiply(logp_acc, inv_steps)), -1.0 / bsz)
+    # Each real step weighs 1 / (its example's real steps).
+    weights = batch.dec_mask / batch.dec_mask.sum(axis=1, keepdims=True)
+    weights = tensor(weights.astype(cfg.np_dtype))
+    nll = scale(reduce_sum(multiply(step_nll(out.final_dist, gold), weights)), -1.0 / bsz)
     if use_coverage:
-        cov = scale(reduce_sum(multiply(cov_acc, inv_steps)), 1.0 / bsz)
+        overlap = reduce_sum(minimum(alpha, _stack_steps(coverages)), axis=-1)  # [B, T]
+        cov = scale(reduce_sum(multiply(overlap, weights)), 1.0 / bsz)
         total = add(nll, scale(cov, cov_weight))
     else:
         cov = None
         total = nll
-    return LossParts(nll, cov, total, steps if collect_steps else None)
+    steps = [_step_slice(out, t) for t in range(dec_len)] if collect_steps else None
+    return LossParts(nll, cov, total, out, steps)

@@ -232,15 +232,25 @@ def scale(a: Tensor, scalar: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` with numpy's rules.  A stack of matrices times one matrix,
+    [..., K] @ [K, N], runs as a single [rows, K] @ [K, N] product, forward
+    and backward, rather than one product per matrix of the stack."""
     av, bv = a.values, b.values
+    rows = av.ndim > 2 and bv.ndim == 2
     try:
-        out = np.matmul(av, bv)
+        if rows:
+            out = (av.reshape(-1, av.shape[-1]) @ bv).reshape(av.shape[:-1] + bv.shape[1:])
+        else:
+            out = np.matmul(av, bv)
     except ValueError:
         raise DimensionError("matmul", a.shape, b.shape) from None
     if not _grad_enabled:
         return Tensor(out)
 
     def vjp(g):
+        if rows:
+            a2, g2 = av.reshape(-1, av.shape[-1]), g.reshape(-1, g.shape[-1])
+            return (g2 @ bv.T).reshape(av.shape), a2.T @ g2
         # Promote 1-D operands to matrices, apply the matrix rule, then sum
         # away any batch dims numpy broadcast in.
         a2 = av[np.newaxis, :] if av.ndim == 1 else av

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import socket
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -200,22 +202,43 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> AdamState:
-    """Standard bias-corrected Adam update, applied to the arrays in place."""
+    """Standard bias-corrected Adam update, applied to the arrays in place.
+
+    Each array gets x -= lr (m / correct1) / (sqrt(v / correct2) + eps),
+    rounded one operation at a time in the order that expression reads,
+    with two scratch buffers shared by all arrays instead of temporaries.
+    """
     missing = params.keys() - grads.keys()
     if missing:
         raise ContractError(f"adam_step: no gradient for {sorted(missing)[0]}")
     state.t += 1
     correct1 = 1.0 - beta1**state.t
     correct2 = 1.0 - beta2**state.t
+    size = max((t.values.size for t in params.values()), default=0)
+    pool: dict[np.dtype, np.ndarray] = {}
     for name, tensor_ in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
+        x = tensor_.values
+        if x.dtype not in pool:
+            pool[x.dtype] = np.empty(2 * size, dtype=x.dtype)
+        step = pool[x.dtype][: x.size].reshape(x.shape)
+        denom = pool[x.dtype][size : size + x.size].reshape(x.shape)
         m *= beta1
-        m += (1.0 - beta1) * g
+        np.multiply(g, 1.0 - beta1, out=step)
+        m += step
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        tensor_.values -= lr * (m / correct1) / (np.sqrt(v / correct2) + eps)
+        np.multiply(g, g, out=step)
+        step *= 1.0 - beta2
+        v += step
+        np.divide(m, correct1, out=step)
+        step *= lr
+        np.divide(v, correct2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        x -= step
     return state
 
 
@@ -309,18 +332,11 @@ def token_accuracy(
     total = 0
     with no_grad():
         for batch in batches_once(examples, batch_size, dtype=cfg.np_dtype):
-            parts = forward_loss(
-                params, cfg, batch, use_coverage=use_coverage, collect_steps=True
-            )
-            mask = batch.dec_mask.astype(bool)
-            for t, step in enumerate(parts.steps):
-                live = mask[:, t]
-                if not live.any():
-                    continue
-                pred = np.argmax(step.final_dist.values, axis=1)
-                gold = batch.dec_out[:, t]
-                correct += int(np.sum((pred == gold) & live))
-                total += int(np.sum(live))
+            parts = forward_loss(params, cfg, batch, use_coverage=use_coverage)
+            live = batch.dec_mask.astype(bool)
+            pred = np.argmax(parts.outputs.final_dist.values, axis=-1)
+            correct += int(np.sum((pred == batch.dec_out) & live))
+            total += int(np.sum(live))
     return correct / total
 
 
@@ -372,13 +388,22 @@ def _log(fh, **record) -> None:
 
 
 def _acquire_lock(run_dir: Path) -> Path:
+    """Create the run directory's lock, holding this process's pid and host.
+
+    A held lock is never removed here, even when its owner looks dead: the
+    error names the owner so that a person can check before removing it.
+    """
     lock = run_dir / LOCK_NAME
     try:
         with open(lock, "x") as fh:
-            fh.write("locked\n")
+            fh.write(f"pid {os.getpid()} host {socket.gethostname()}\n")
     except FileExistsError:
+        try:
+            owner = lock.read_text().strip() or "an unnamed owner"
+        except OSError as exc:
+            owner = f"an unreadable lock ({exc.strerror})"
         raise ContractError(
-            f"run directory {run_dir} is locked by another command "
+            f"run directory {run_dir} is locked by {owner} "
             f"(remove {lock} if that run is dead)"
         ) from None
     return lock

@@ -1,5 +1,7 @@
 """Model forward pass: shapes, distribution invariants, coverage, gradients."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from seqlab.data import UNK_ID, encode_example, make_batch, Example
 from seqlab.errors import ContractError
 from seqlab.model import (
     ModelConfig,
+    attention_query,
     attention_step,
     decode_step,
     encode,
@@ -32,6 +35,7 @@ from seqlab.tensor import (
     multiply,
     reduce_sum,
     reshape,
+    scale,
     sigmoid,
     tanh,
     tensor,
@@ -206,6 +210,10 @@ class TestLossValues:
         with pytest.raises(ContractError):
             step_nll(tensor(np.ones((1, 3)) / 3), np.array([3]))
 
+    def test_gold_ids_must_match_rows(self):
+        with pytest.raises(ContractError, match="do not match"):
+            step_nll(tensor(np.ones((2, 4, 3)) / 3), np.zeros((2,), dtype=np.int64))
+
     def test_loss_finite_and_positive(self, tiny_setup):
         cfg, params, batch, _ = tiny_setup
         loss = forward_loss(params.groups, cfg, batch)
@@ -272,7 +280,8 @@ class TestAttention:
         enc = encode(params.groups, cfg, batch.src_ids, batch.src_mask)
         pen = mask_penalty(batch.src_mask)
         state = enc.init2[0]
-        alpha, ctx = attention_step(params.groups["Attn"], state, enc.states, None, pen)
+        query = attention_query(params.groups["Attn"], state)
+        alpha, ctx = attention_step(params.groups["Attn"], query, enc.states, None, pen)
         assert alpha.shape == batch.src_ids.shape
         assert ctx.shape == (batch.size, 2 * cfg.hidden)
         np.testing.assert_allclose(alpha.values.sum(axis=1), 1.0, atol=1e-12)
@@ -282,14 +291,165 @@ class TestAttention:
         enc = encode(params.groups, cfg, batch.src_ids, batch.src_mask)
         pen = mask_penalty(batch.src_mask)
         state = enc.init2[0]
-        base, _ = attention_step(params.groups["Attn"], state, enc.states, None, pen)
+        query = attention_query(params.groups["Attn"], state)
+        base, _ = attention_step(params.groups["Attn"], query, enc.states, None, pen)
         # uneven coverage: softmax cancels a uniform feature, so load one side
         lopsided = np.zeros_like(batch.src_mask)
         lopsided[:, 0] = 5.0
         loaded, _ = attention_step(
-            params.groups["Attn"], state, enc.states, tensor(lopsided), pen,
+            params.groups["Attn"], query, enc.states, tensor(lopsided), pen,
         )
         assert not np.allclose(base.values, loaded.values)
+
+
+def stepwise_loss(params, cfg, batch, cov_weight=1.0):
+    """The oracle for `forward_loss`: the teacher-forced loss built one
+    `decode_step` at a time, each step's terms masked and summed in order.
+
+    Returns (nll, coverage, total, the StepOutput of every step).
+    """
+    from seqlab.model import prepare_decoder
+
+    dt = cfg.np_dtype
+    bsz, dec_len = batch.dec_in.shape
+    gold = batch.dec_out
+    if not cfg.use_pointer:
+        gold = np.where(gold >= cfg.vocab_size, UNK_ID, gold)
+    enc = encode(params, cfg, batch.src_ids, batch.src_mask)
+    ctx = prepare_decoder(params, cfg, enc, batch.src_mask, batch.src_ext, batch.max_oov)
+    state = ctx.init_state
+    coverage = ctx.fresh_coverage() if cfg.use_coverage else None
+    nll_acc = cov_acc = None
+    outs = []
+    for t in range(dec_len):
+        out, state = decode_step(ctx, state, batch.dec_in[:, t], coverage)
+        mask = tensor(batch.dec_mask[:, t].astype(dt))
+        logp = multiply(step_nll(out.final_dist, gold[:, t]), mask)
+        nll_acc = logp if nll_acc is None else add(nll_acc, logp)
+        if coverage is not None:
+            overlap = multiply(reduce_sum(minimum(out.alpha, coverage), axis=-1), mask)
+            cov_acc = overlap if cov_acc is None else add(cov_acc, overlap)
+            coverage = add(coverage, out.alpha)
+        outs.append(out)
+    inv_steps = tensor((1.0 / batch.dec_mask.sum(axis=1)).astype(dt))
+    nll = scale(reduce_sum(multiply(nll_acc, inv_steps)), -1.0 / bsz)
+    if cov_acc is None:
+        return nll, None, nll, outs
+    cov = scale(reduce_sum(multiply(cov_acc, inv_steps)), 1.0 / bsz)
+    return nll, cov, add(nll, scale(cov, cov_weight)), outs
+
+
+def tape_size(root):
+    """Number of op nodes reachable from `root`."""
+    seen, stack, n = {id(root)}, [root], 0
+    while stack:
+        node = stack.pop()
+        n += node.op is not None
+        for parent in node.parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return n
+
+
+def close(got, want, tol):
+    """Largest difference within `tol` of the largest entry of `want`."""
+    return np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+SWITCHES = [(True, True), (True, False), (False, True), (False, False)]
+SWITCH_IDS = ["pointer-coverage", "pointer-nocoverage", "nopointer-coverage", "nopointer-nocoverage"]
+
+
+@pytest.mark.parametrize("use_pointer,use_coverage", SWITCHES, ids=SWITCH_IDS)
+class TestWholeTargetLoss:
+    """`forward_loss` runs the decoder over the whole target at once; it must
+    equal the step-by-step loss through `decode_step`."""
+
+    # float64 matches to rounding; float32 carries about 7 digits, and the
+    # sums over steps and rows round differently in the two forms.
+    TOL = {"float64": 1e-12, "float32": 1e-5}
+
+    def inputs(self, use_pointer, use_coverage, dtype):
+        cfg = tiny_config(use_pointer=use_pointer, use_coverage=use_coverage, dtype=dtype)
+        params = single_task_params(cfg, seed=4)
+        batch, _ = tiny_batch(n=5, seed=2)
+        lengths = batch.dec_mask.sum(axis=1)
+        assert len(set(lengths.tolist())) > 1, "targets must have uneven lengths"
+        assert (batch.dec_out >= cfg.vocab_size).any(), "targets must copy OOVs"
+        for name in ("src_mask", "dec_mask"):
+            setattr(batch, name, getattr(batch, name).astype(cfg.np_dtype))
+        return cfg, params, batch
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_loss_and_gradients_match_stepwise(self, use_pointer, use_coverage, dtype):
+        cfg, params, batch = self.inputs(use_pointer, use_coverage, dtype)
+        tol = self.TOL[dtype]
+        flat = params.flat()
+
+        def gradients(total):
+            grads = backward(total, wrt=flat.values())
+            return {k: grads[t] for k, t in flat.items()}
+
+        want_nll, want_cov, want_total, _ = stepwise_loss(params.groups, cfg, batch, 0.7)
+        want_g = gradients(want_total)
+        parts = forward_loss(params.groups, cfg, batch, cov_weight=0.7)
+        got_g = gradients(parts.total)
+        assert parts.total.dtype == np.dtype(dtype)
+        assert close(parts.total.values, want_total.values, tol)
+        assert close(parts.nll.values, want_nll.values, tol)
+        if use_coverage:
+            assert want_cov.item() > 0
+            assert close(parts.coverage.values, want_cov.values, tol)
+        else:
+            assert parts.coverage is None and want_cov is None
+        # A gradient entry's rounding error scales with the terms summed into
+        # it, not with the entry: Attn/bias sums terms the size of the other
+        # entries to about 1e-9.  So every array is held to the largest entry
+        # of the whole gradient.
+        scale_ = max(np.abs(g).max() for g in want_g.values())
+        for name in flat:
+            assert np.abs(got_g[name] - want_g[name]).max() <= tol * scale_, name
+
+    def test_collected_steps_are_decode_step_outputs(self, use_pointer, use_coverage):
+        cfg, params, batch = self.inputs(use_pointer, use_coverage, "float64")
+        *_, want = stepwise_loss(params.groups, cfg, batch)
+        got = forward_loss(params.groups, cfg, batch, collect_steps=True).steps
+        assert len(got) == len(want) == batch.dec_in.shape[1]
+        for g, w in zip(got, want):
+            assert (g.p_gen is None) == (w.p_gen is None) == (not use_pointer)
+            for name in ("alpha", "context", "vocab_dist", "final_dist", "p_gen"):
+                gv, wv = getattr(g, name), getattr(w, name)
+                if wv is not None:
+                    assert gv.shape == wv.shape, name
+                    assert close(gv.values, wv.values, 1e-12), name
+
+    def test_only_attention_runs_per_step(self, use_pointer, use_coverage):
+        """One more target step adds one attention step to the tape and
+        nothing else: the LSTMs, `Out` and `Ptr` run once per batch."""
+        cfg, params, batch = self.inputs(use_pointer, use_coverage, "float64")
+
+        def nodes(steps):
+            cut = copy.copy(batch)
+            for name in ("dec_in", "dec_out", "dec_mask"):
+                setattr(cut, name, getattr(batch, name)[:, :steps])
+            return tape_size(forward_loss(params.groups, cfg, cut).total)
+
+        # The ops of one step: the query slice, the attention and the
+        # coverage update, counted on an attention step of its own.
+        h, s = cfg.hidden, batch.src_ids.shape[1]
+        leaf = lambda *shape: tensor(np.ones(shape))
+        coverage = leaf(batch.size, s) if use_coverage else None
+        alpha, context = attention_step(
+            params.groups["Attn"], leaf(batch.size, cfg.attention_dim),
+            leaf(batch.size, s, 2 * h), coverage, mask_penalty(batch.src_mask),
+            leaf(batch.size, s, cfg.attention_dim),
+        )
+        attention = tape_size(concat([alpha, context])) - 1  # less the concat
+        one_step = 1 + attention + int(use_coverage)
+        per_step = [nodes(t + 1) - nodes(t) for t in (2, 3)]
+        assert per_step[0] == per_step[1]
+        assert 0 < per_step[0] <= one_step, (per_step, one_step)
 
 
 class TestModelGradients:

@@ -104,6 +104,8 @@ class TestShapeErrors:
     def test_matmul_inner_mismatch(self):
         with pytest.raises(DimensionError, match="matmul"):
             matmul(tensor(np.zeros((2, 3))), tensor(np.zeros((4, 2))))
+        with pytest.raises(DimensionError, match="matmul"):
+            matmul(tensor(np.zeros((5, 2, 3))), tensor(np.zeros((4, 2))))
 
     def test_error_message_names_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\)"):
@@ -263,6 +265,7 @@ class TestFiniteDifferences:
             ((3,), (3, 5)),
             ((2, 4, 3), (3,)),
             ((3,), (3,)),
+            ((2, 2, 4, 3), (3, 5)),
         ],
     )
     def test_matmul_variants(self, sa, sb):

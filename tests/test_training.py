@@ -1,7 +1,11 @@
 """Optimizer, scheduler, checkpointing, and the run loop."""
 
+import dataclasses
 import json
 import math
+import os
+import re
+import socket
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from seqlab.checkpoint import (
 import seqlab.checkpoint as checkpoint
 from seqlab.data import SynthSpec, batch_iterator, encode_example, make_task_corpora, task_seed
 from seqlab.errors import CheckpointError, ContractError, NumericError
-from seqlab.model import LossParts, ModelConfig, forward_loss
+from seqlab.model import ModelConfig, forward_loss
 from seqlab.sharing import EUCLIDEAN, Mode, ParamRegistry, SharingPlan, single_task_params
 from seqlab.tensor import (
     add,
@@ -198,6 +202,31 @@ class TestAdam:
         m2, v2 = b1 * m1 + (1 - b1) * g2, b2 * v1 + (1 - b2) * g2**2
         th2 = th1 - lr * (m2 / (1 - b1**2)) / (math.sqrt(v2 / (1 - b2**2)) + eps)
         assert params["w"].values[0] == pytest.approx(th2, rel=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_five_steps_bitwise_equal_to_formula(self, dtype):
+        """The in-place update rounds exactly as the textbook expression does."""
+        rng = np.random.default_rng(4)
+        shapes = {"w": (5, 3), "b": (3,), "s": (1,)}
+        params = {k: tensor(rng.normal(size=s).astype(dtype)) for k, s in shapes.items()}
+        state = ToyState(params)
+        x = {k: t.values.copy() for k, t in params.items()}
+        m = {k: np.zeros_like(a) for k, a in x.items()}
+        v = {k: np.zeros_like(a) for k, a in x.items()}
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        for t in range(1, 6):
+            grads = {k: (rng.normal(size=s) * 10.0 ** rng.integers(-6, 2)).astype(dtype)
+                     for k, s in shapes.items()}
+            adam_step(params, grads, state, lr)
+            for k, g in grads.items():
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
+                x[k] = x[k] - lr * (m[k] / (1.0 - b1**t)) / (np.sqrt(v[k] / (1.0 - b2**t)) + eps)
+        for k in shapes:
+            assert params[k].values.dtype == dtype
+            np.testing.assert_array_equal(params[k].values, x[k])
+            np.testing.assert_array_equal(state.m[k], m[k])
+            np.testing.assert_array_equal(state.v[k], v[k])
 
     def test_missing_gradient_rejected(self):
         params = toy_params()
@@ -446,9 +475,11 @@ class TestTrainLoop:
         cfg = tiny_config()
         run = tmp_path / "run"
         run.mkdir()
-        (run / "LOCK").write_text("busy\n")
-        with pytest.raises(ContractError, match="locked"):
+        lock = training._acquire_lock(run)
+        owner = f"pid {os.getpid()} host {socket.gethostname()}"
+        with pytest.raises(ContractError, match=f"locked by {re.escape(owner)} "):
             train(cfg, quick_conf(), solo_registry(cfg), [copy_task()], run)
+        assert lock.read_text() == owner + "\n"  # a held lock is never removed
 
     def test_refuses_to_overwrite_finished_run(self, tmp_path):
         cfg = tiny_config()
@@ -480,7 +511,7 @@ class TestTrainLoop:
                 seen["n"] += 1
                 if seen["n"] > 7:
                     bad = np.array(np.nan)
-                    return LossParts(parts.nll, parts.coverage, tensor(bad))
+                    return dataclasses.replace(parts, total=tensor(bad))
             return parts
 
         monkeypatch.setattr(training, "forward_loss", poisoned)
