@@ -25,8 +25,7 @@ def fit(corpora, vocab, use_pointer: bool, steps: int, run_dir: Path):
     )
     tconf = TrainConfig(
         cov_weight=0.0, lr=1e-3, batch_size=8, max_steps=steps,
-        val_every=200, checkpoint_every=steps, patience=999,
-        coverage_mode="off", seed=11,
+        val_every=200, checkpoint_every=steps, patience=999, seed=11,
     )
     registry = ParamRegistry(cfg, SharingPlan.solo(), seed=11, init_range=0.1)
     registry.add_task("copy")

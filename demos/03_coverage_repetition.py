@@ -34,8 +34,7 @@ def fit(corpora, vocab, use_coverage: bool, run_dir: Path):
     tconf = TrainConfig(
         cov_weight=1.0 if use_coverage else 0.0,
         lr=1e-3, batch_size=8, max_steps=STEPS,
-        val_every=STEPS, checkpoint_every=STEPS, patience=999,
-        coverage_mode="on" if use_coverage else "off", seed=0,
+        val_every=STEPS, checkpoint_every=STEPS, patience=999, seed=0,
     )
     registry = ParamRegistry(cfg, SharingPlan.solo(), seed=0, init_range=0.1)
     registry.add_task("rw")

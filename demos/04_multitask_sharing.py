@@ -44,7 +44,7 @@ def main() -> None:
              TrainTask("extract", corp_kw, vocab)]
     tconf = TrainConfig(cov_weight=0.0, ratios=(1, 1), lr=1e-3, batch_size=4,
                         max_steps=200, val_every=100, checkpoint_every=200,
-                        patience=999, coverage_mode="off", seed=7)
+                        patience=999, seed=7)
 
     # --- hard sharing: co-tasks write the same memory ----------------------
     hard = ParamRegistry(cfg, SharingPlan.preset("final", gamma=0.0, hard=True),

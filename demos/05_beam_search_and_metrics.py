@@ -29,7 +29,7 @@ def main() -> None:
                       use_pointer=True, use_coverage=False)
     tconf = TrainConfig(cov_weight=0.0, lr=3e-3, batch_size=8, max_steps=200,
                         val_every=100, checkpoint_every=200, patience=999,
-                        coverage_mode="off", seed=70)
+                        seed=70)
     registry = ParamRegistry(cfg, SharingPlan.solo(), seed=70, init_range=0.1)
     registry.add_task("copy")
     with tempfile.TemporaryDirectory() as tmp:

@@ -160,14 +160,20 @@ def cmd_train(args) -> int:
 # decode
 
 
-def _checkpoint_model(ckpt) -> ModelConfig:
+def _checkpoint_model(ckpt, task: str) -> ModelConfig:
+    """The model `task` was trained as: training gives coverage to the
+    primary task, the first of the echoed task list, and to no other."""
     model_echo = ckpt.config.get("model")
     if not isinstance(model_echo, dict):
         raise CheckpointError("checkpoint config echo lacks a model section")
     try:
-        return ModelConfig(**model_echo)
+        mcfg = ModelConfig(**model_echo)
     except (TypeError, ContractError) as exc:
         raise CheckpointError(f"checkpoint model config is invalid: {exc}") from exc
+    trained = ckpt.config.get("tasks")
+    if isinstance(trained, list) and trained and task != trained[0]:
+        mcfg = dataclasses.replace(mcfg, use_coverage=False)
+    return mcfg
 
 
 def _checkpoint_task(ckpt, requested: str | None) -> str:
@@ -187,7 +193,7 @@ def _checkpoint_task(ckpt, requested: str | None) -> str:
 def cmd_decode(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     task = _checkpoint_task(ckpt, args.task)
-    mcfg = _checkpoint_model(ckpt)
+    mcfg = _checkpoint_model(ckpt, task)
     if task not in ckpt.vocabs:
         raise CheckpointError(f"checkpoint has no vocabulary for task {task!r}")
     vocab = Vocab(list(ckpt.vocabs[task]))
@@ -352,7 +358,7 @@ def _gradcheck_setup(seed: int, dtype: str):
         for key, leaf in leaves.items():
             tag, name = key.split("/", 1)
             params.setdefault(tag, {})[name] = leaf
-        total = forward_loss(params, mcfg, batch, cov_weight=1.0, use_coverage=True).total
+        total = forward_loss(params, mcfg, batch, cov_weight=1.0).total
         penalty = None
         for key, counterpart in frozen.items():
             tag, name = key.split("/", 1)

@@ -22,7 +22,10 @@ A run is described by one JSON document with these sections:
     Reporting knobs (:class:`EvalConfig`).
 ``tasks``
     Ordered list of task definitions (:class:`TaskDef`).  The first task is
-    primary: it alone gets the coverage term and drives early stopping.
+    primary: it drives early stopping and alone gets coverage, when
+    ``model.use_coverage`` is true.  ``model.use_coverage`` is the one
+    coverage switch, for training and decoding alike; ``train.coverage_mode``
+    only schedules it (``"on"`` or ``"phased"``).
 
 Parsing is strict: an unknown key anywhere raises :class:`ConfigError`
 naming the key and the section it appeared in.  ``RunConfig.to_dict()``
@@ -152,11 +155,6 @@ class RunConfig:
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-JSON form; ``parse_run_config`` inverts it exactly."""
-        plan: dict[str, Any] = {
-            "modes": {tag: self.plan.modes[tag].value for tag in TAGS},
-            "gamma": self.plan.gamma,
-            "form": self.plan.form,
-        }
         return {
             "seed": self.seed,
             "out_dir": self.out_dir,
@@ -165,7 +163,7 @@ class RunConfig:
                 for t in self.tasks
             ],
             "model": dataclasses.asdict(self.model),
-            "plan": plan,
+            "plan": self.plan.describe(),
             "train": {
                 **dataclasses.asdict(self.train),
                 "ratios": list(self.train.ratios),

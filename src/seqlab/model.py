@@ -430,8 +430,7 @@ class LossParts:
     nll: Tensor
     coverage: Tensor | None
     total: Tensor
-    outputs: StepOutput                     # every step at once, [B, T, ...]
-    steps: list[StepOutput] | None = None   # slices of `outputs`, one per step
+    outputs: StepOutput  # every step at once, [B, T, ...]
 
 
 def step_nll(final_dist: Tensor, gold_ids: np.ndarray) -> Tensor:
@@ -458,29 +457,26 @@ def _stack_steps(parts: list[Tensor]) -> Tensor:
     return reshape(concat(parts), (parts[0].shape[0], len(parts), -1))
 
 
-def _step_slice(out: StepOutput, t: int) -> StepOutput:
-    parts = (out.alpha, out.context, out.vocab_dist, out.final_dist, out.p_gen)
-    return StepOutput(*(None if x is None else getitem(x, (slice(None), t)) for x in parts))
-
-
 def forward_loss(
     params: Params,
     cfg: ModelConfig,
     batch: Batch,
     cov_weight: float = 1.0,
     use_coverage: bool | None = None,
-    collect_steps: bool = False,
 ) -> LossParts:
     """Teacher-forced loss over a batch.
 
     Everything but attention runs once over the whole target (see the
-    module docstring).  ``collect_steps`` adds each step's outputs as
-    slices of ``LossParts.outputs``.
+    module docstring).  Coverage follows ``cfg.use_coverage``;
+    ``use_coverage=False`` turns it off for this call only, and asking for
+    coverage that ``cfg`` turns off is a ContractError.
 
     Token negative log-likelihood and the coverage penalty are both averaged
     over each example's real decoder steps, then over the batch; the total
     is ``nll + cov_weight * coverage``.
     """
+    if use_coverage and not cfg.use_coverage:
+        raise ContractError("forward_loss: coverage requested but cfg.use_coverage is false")
     if use_coverage is None:
         use_coverage = cfg.use_coverage
     bsz, dec_len = batch.dec_in.shape
@@ -527,5 +523,4 @@ def forward_loss(
     else:
         cov = None
         total = nll
-    steps = [_step_slice(out, t) for t in range(dec_len)] if collect_steps else None
-    return LossParts(nll, cov, total, out, steps)
+    return LossParts(nll, cov, total, out)

@@ -10,8 +10,8 @@ Conventions that the rest of the package relies on:
 
 * float64 values by default; float32 works but leaves less headroom for
   gradient checks.
-* Graphs are rebuilt from scratch every step.  ``backward`` assigns each
-  leaf's ``grad`` outright rather than accumulating across calls.
+* Graphs are rebuilt from scratch every step.  ``backward`` returns fresh
+  adjoints and stores nothing on the tensors, so nothing accumulates.
 * Elementwise operations follow numpy broadcasting; the adjoint of a
   broadcast input is summed back down to its original shape.
 * ``minimum`` routes the full adjoint to its first argument on exact ties.
@@ -47,7 +47,7 @@ _tie_log: list["TieEvent"] | None = None
 class Tensor:
     """A dense array plus an optional record of how it was computed."""
 
-    __slots__ = ("values", "grad", "op", "parents", "_vjp")
+    __slots__ = ("values", "op", "parents", "_vjp")
 
     def __init__(
         self,
@@ -58,7 +58,6 @@ class Tensor:
         vjp: Callable[[np.ndarray], tuple] | None = None,
     ):
         self.values = values if type(values) is np.ndarray else np.asarray(values)
-        self.grad: np.ndarray | None = None
         self.op = op
         self.parents = parents
         self._vjp = vjp
@@ -642,9 +641,8 @@ def _toposort(root: Tensor) -> list[Tensor]:
 def backward(root: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[Tensor, np.ndarray]:
     """Run reverse-mode accumulation from a scalar `root`.
 
-    Returns a map from every reachable leaf to its total adjoint, and
-    assigns each such leaf's ``grad`` (overwriting, not accumulating).
-    Leaves listed in `wrt` that the graph never touches come back as zeros.
+    Returns a map from every reachable leaf to its total adjoint.  Leaves
+    listed in `wrt` that the graph never touches come back as zeros.
     """
     if root.values.size != 1:
         raise ContractError(f"backward: root must be scalar, got shape {root.shape}")
@@ -665,14 +663,10 @@ def backward(root: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[Tensor, 
                 continue
             have = adjoint.get(id(parent))
             adjoint[id(parent)] = pg if have is None else have + pg
-    for leaf, g in leaves.items():
-        leaf.grad = g
     if wrt is not None:
         for leaf in wrt:
             if leaf not in leaves:
-                z = np.zeros_like(leaf.values)
-                leaves[leaf] = z
-                leaf.grad = z
+                leaves[leaf] = np.zeros_like(leaf.values)
     return leaves
 
 

@@ -54,7 +54,7 @@ __all__ = [
     "read_metrics",
 ]
 
-COVERAGE_MODES = ("on", "off", "phased")
+COVERAGE_MODES = ("on", "phased")
 LOCK_NAME = "LOCK"
 METRICS_NAME = "metrics.jsonl"
 META_NAME = "run_meta.json"
@@ -71,10 +71,11 @@ class TrainConfig:
     """Knobs for one run.
 
     `ratios` aligns with the task list passed to `train`; the first task is
-    the primary one (it alone gets the coverage term, and its validation
-    loss drives early stopping).  `coverage_mode` is "on" (from step 1),
-    "off", or "phased" (activate coverage and drop to `coverage_lr` once
-    the no-coverage model has converged).
+    the primary one (its validation loss drives early stopping, and it alone
+    gets coverage).  Whether it gets coverage at all is
+    `ModelConfig.use_coverage`; `coverage_mode` only schedules it: "on"
+    (from step 1) or "phased" (activate coverage and drop to `coverage_lr`
+    once the no-coverage model has converged).
     """
 
     cov_weight: float = 1.0
@@ -107,7 +108,8 @@ class TrainConfig:
             raise ContractError(f"clip norm must be > 0, got {self.clip_norm}")
         if self.coverage_mode not in COVERAGE_MODES:
             raise ContractError(
-                f"coverage_mode must be one of {COVERAGE_MODES}, got {self.coverage_mode!r}"
+                f"coverage_mode must be one of {COVERAGE_MODES}, got {self.coverage_mode!r} "
+                "(to train without coverage, set model.use_coverage to false)"
             )
         for field_name in ("batch_size", "max_steps", "val_every", "checkpoint_every", "patience"):
             if getattr(self, field_name) < 1:
@@ -315,7 +317,6 @@ def token_accuracy(
     cfg: ModelConfig,
     examples: Sequence[EncodedExample],
     batch_size: int = 32,
-    use_coverage: bool | None = None,
 ) -> float:
     """Teacher-forced token accuracy over a held-out set, grad-free.
 
@@ -332,7 +333,7 @@ def token_accuracy(
     total = 0
     with no_grad():
         for batch in batches_once(examples, batch_size, dtype=cfg.np_dtype):
-            parts = forward_loss(params, cfg, batch, use_coverage=use_coverage)
+            parts = forward_loss(params, cfg, batch)
             live = batch.dec_mask.astype(bool)
             pred = np.argmax(parts.outputs.final_dist.values, axis=-1)
             correct += int(np.sum((pred == batch.dec_out) & live))
@@ -423,6 +424,8 @@ def train(
     improved for `patience` consecutive evaluations ("converged"); in
     phased coverage mode the first convergence instead switches coverage on
     at the reduced learning rate and training continues to a second stop.
+    Coverage applies to the primary task only, and only when
+    `cfg.use_coverage` is true.
     A non-finite loss aborts the run with NumericError; checkpoints already
     on disk are kept.
     """
@@ -433,6 +436,8 @@ def train(
     names = [t.name for t in tasks]
     if len(set(names)) != len(names):
         raise ContractError(f"duplicate task names in {names}")
+    if tconf.coverage_mode == "phased" and not cfg.use_coverage:
+        raise ContractError("coverage_mode 'phased' needs coverage: set model.use_coverage to true")
     by_name = {t.name: t for t in tasks}
     params = {name: registry.task(name) for name in names}  # validates registration
     flat = {name: params[name].flat() for name in names}
@@ -489,7 +494,7 @@ def train(
                     )
 
             schedule = mixing_scheduler(tconf.ratios, names)
-            coverage_active = tconf.coverage_mode == "on"
+            coverage_active = cfg.use_coverage and tconf.coverage_mode == "on"
             lr = tconf.lr
             best_val = math.inf
             best_step = 0

@@ -7,6 +7,7 @@ training gates use fixed seeds and synthetic corpora, so they are
 deterministic on a given platform.
 """
 
+import dataclasses
 import itertools
 import time
 
@@ -109,24 +110,23 @@ def test_criterion_2_distribution_invariants():
                 params, cfg, batch,
                 cov_weight=1.0,
                 use_coverage=bool(rng.integers(0, 2)),
-                collect_steps=True,
             )
             ext = batch.ext_size(cfg.vocab_size)
             padded = batch.src_mask == 0.0
             assert padded.any()
-            for out in parts.steps:
-                for dist in (
-                    out.alpha.values,
-                    out.vocab_dist.values,
-                    copy_distribution(out.alpha, batch.src_ext, ext).values,
-                    out.final_dist.values,
-                ):
-                    assert (dist >= 0.0).all()
-                    np.testing.assert_allclose(dist.sum(axis=-1), 1.0, atol=1e-6)
-                assert (out.alpha.values[padded] == 0.0).all()
-                p_gen = out.p_gen.values
-                assert ((p_gen >= 0.0) & (p_gen <= 1.0)).all()
-                checked_steps += 1
+            out = parts.outputs  # every step at once, [B, T, ...]
+            for dist in (
+                out.alpha.values,
+                out.vocab_dist.values,
+                copy_distribution(out.alpha, batch.src_ext, ext).values,
+                out.final_dist.values,
+            ):
+                assert (dist >= 0.0).all()
+                np.testing.assert_allclose(dist.sum(axis=-1), 1.0, atol=1e-6)
+            assert (out.alpha.values.transpose(1, 0, 2)[:, padded] == 0.0).all()
+            p_gen = out.p_gen.values
+            assert ((p_gen >= 0.0) & (p_gen <= 1.0)).all()
+            checked_steps += batch.dec_in.shape[1]
     assert checked_steps >= 1000
 
 
@@ -154,8 +154,7 @@ def test_criterion_3_pointer_efficacy(tmp_path):
         )
         tconf = TrainConfig(
             cov_weight=0.0, lr=1e-3, batch_size=8, max_steps=steps,
-            val_every=200, checkpoint_every=steps, patience=999,
-            coverage_mode="off", seed=11,
+            val_every=200, checkpoint_every=steps, patience=999, seed=11,
         )
         reg = ParamRegistry(cfg, SharingPlan.solo(), seed=11, init_range=0.1)
         reg.add_task("copy")
@@ -190,8 +189,7 @@ def _repetition_run(tmp_path, corp, vocab, seed, use_coverage, steps, test_enc):
     tconf = TrainConfig(
         cov_weight=1.0 if use_coverage else 0.0,
         lr=1e-3, batch_size=8, max_steps=steps,
-        val_every=steps, checkpoint_every=steps, patience=999,
-        coverage_mode="on" if use_coverage else "off", seed=seed,
+        val_every=steps, checkpoint_every=steps, patience=999, seed=seed,
     )
     reg = ParamRegistry(cfg, SharingPlan.solo(), seed=seed, init_range=0.1)
     # The task name keys the per-task init and batch-order RNG streams, so
@@ -287,7 +285,7 @@ def test_criterion_5_sharing_semantics(tmp_path):
         return TrainConfig(
             cov_weight=0.0, ratios=(1, 1), lr=1e-3, batch_size=4,
             max_steps=steps, val_every=1000, checkpoint_every=steps,
-            patience=999, coverage_mode="off", seed=7,
+            patience=999, seed=7,
         )
 
     # (a) hard plan: one physical array per shared tag
@@ -323,7 +321,7 @@ def test_criterion_5_sharing_semantics(tmp_path):
         solo_conf = TrainConfig(
             cov_weight=0.0, ratios=(1,), lr=1e-3, batch_size=4,
             max_steps=120, val_every=1000, checkpoint_every=120,
-            patience=999, coverage_mode="off", seed=7,
+            patience=999, seed=7,
         )
         train(cfg, solo_conf, solo, [t], tmp_path / f"solo-{t.name}")
         mixed = soft0.task(t.name)
@@ -381,8 +379,7 @@ def test_criterion_7_beam_optimality(tmp_path):
                       use_pointer=True, use_coverage=False)
     tconf = TrainConfig(
         cov_weight=0.0, lr=3e-3, batch_size=8, max_steps=200,
-        val_every=100, checkpoint_every=200, patience=999,
-        coverage_mode="off", seed=70,
+        val_every=100, checkpoint_every=200, patience=999, seed=70,
     )
     reg = ParamRegistry(cfg, SharingPlan.solo(), seed=70, init_range=0.1)
     reg.add_task("copy")
@@ -461,16 +458,16 @@ def test_criterion_9_mtl_end_to_end(tmp_path):
                       use_pointer=True, use_coverage=True)
 
     warm = {}
+    tconf = TrainConfig(
+        cov_weight=1.0, lr=1e-3, batch_size=8, max_steps=800,
+        val_every=100, checkpoint_every=100, patience=6, seed=SEED,
+    )
     for gen in generators:
-        is_primary = gen == "copy-oov"
-        tconf = TrainConfig(
-            cov_weight=1.0, lr=1e-3, batch_size=8, max_steps=800,
-            val_every=100, checkpoint_every=100, patience=6,
-            coverage_mode="on" if is_primary else "off", seed=SEED,
-        )
-        reg = ParamRegistry(cfg, SharingPlan.solo(), seed=SEED, init_range=0.1)
+        # only the primary task trains with coverage, in the MTL run too
+        solo_cfg = dataclasses.replace(cfg, use_coverage=gen == "copy-oov")
+        reg = ParamRegistry(solo_cfg, SharingPlan.solo(), seed=SEED, init_range=0.1)
         reg.add_task(gen)
-        train(cfg, tconf, reg, [TrainTask(gen, corpora[gen], vocab)],
+        train(solo_cfg, tconf, reg, [TrainTask(gen, corpora[gen], vocab)],
               tmp_path / f"solo-{gen}")
         warm[gen] = warm_start(tmp_path / f"solo-{gen}", 0.9)
 

@@ -5,7 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -397,6 +397,35 @@ class TestDecodeCommand:
             ["decode", "--checkpoint", str(ck), "--input", str(src), "--task", "a"]
         )
         assert rc == EXIT_OK
+
+    def test_only_primary_task_decodes_with_coverage(self, tmp_path):
+        # Training gives coverage to the primary (first) task alone, so a
+        # co-task decodes without it, the way it was trained.
+        mcfg = ModelConfig(vocab_size=VOCAB_SIZE, emb_dim=4, hidden=4, use_coverage=True)
+        registry = ParamRegistry(mcfg, SharingPlan.solo(), seed=0, init_range=0.5)
+        tasks = {"a": registry.add_task("a"), "b": registry.add_task("b")}
+        vocab = SPEC.vocab()
+        ck = tmp_path / "multi.npz"
+        save_checkpoint(
+            ck, step=0, tasks=tasks, config={"model": asdict(mcfg), "tasks": ["a", "b"]},
+            vocabs={"a": vocab, "b": vocab},
+        )
+        examples = make_task_corpora("copy", seed=2, sizes=(1, 1, 8), spec=SPEC).test
+        src = tmp_path / "in.jsonl"
+        save_corpus(src, examples)
+        encoded = [encode_source_only(ex, vocab) for ex in examples]
+        no_cov = replace(mcfg, use_coverage=False)
+        for task, want_cfg, other_cfg in (("a", mcfg, no_cov), ("b", no_cov, mcfg)):
+            out = tmp_path / f"{task}.jsonl"
+            rc = main(["decode", "--checkpoint", str(ck), "--input", str(src),
+                       "--task", task, "--beam", "2", "--max-len", "5", "--output", str(out)])
+            assert rc == EXIT_OK
+            got = [json.loads(line)["score"] for line in out.read_text().splitlines()]
+            params = tasks[task].groups
+            want = [p[0].score for p in beam_search(params, want_cfg, encoded, 2, 5)]
+            other = [p[0].score for p in beam_search(params, other_cfg, encoded, 2, 5)]
+            assert got == want
+            assert got != other
 
     def test_empty_input_exits_2(self, trained, tmp_path, capsys):
         src = tmp_path / "empty.jsonl"

@@ -14,7 +14,7 @@ from seqlab.config import (
     parse_run_config,
 )
 from seqlab.errors import ConfigError, ContractError
-from seqlab.sharing import Mode, SharingPlan
+from seqlab.sharing import TAGS, Mode, SharingPlan
 
 
 def minimal_dict(**overrides):
@@ -212,6 +212,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match="train: warm_fraction must be in"):
             parse_run_config(minimal_dict(train={"warm_fraction": 1.5}))
 
+    def test_coverage_mode_off_points_to_model_switch(self):
+        with pytest.raises(ConfigError, match="train: coverage_mode .* set model.use_coverage to false"):
+            parse_run_config(minimal_dict(train={"coverage_mode": "off"}))
+
     def test_model_field_validation_is_prefixed(self):
         d = minimal_dict()
         d["model"]["vocab_size"] = 2
@@ -274,6 +278,11 @@ class TestRoundTrip:
     def test_to_dict_reparses_equal(self):
         cfg = self.full_config()
         assert parse_run_config(cfg.to_dict()) == cfg
+
+    def test_plan_echo_is_the_plan_description(self):
+        cfg = self.full_config()
+        assert cfg.to_dict()["plan"] == cfg.plan.describe()
+        assert list(cfg.to_dict()["plan"]["modes"]) == list(TAGS)
 
     def test_minimal_roundtrip(self):
         cfg = parse_run_config(minimal_dict())

@@ -16,3 +16,10 @@ def test_all_names_resolve(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def test_submodule_import_gives_the_module():
+    import seqlab.tensor as T
+
+    assert T is importlib.import_module("seqlab.tensor")
+    assert callable(T.backward)

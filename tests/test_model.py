@@ -168,6 +168,13 @@ class TestCoverage:
         )
         assert without.total.item() == pytest.approx(without.nll.item())
 
+    def test_coverage_cannot_be_forced_on(self, tiny_setup):
+        _, params, batch, _ = tiny_setup
+        cfg = tiny_config(use_coverage=False)
+        with pytest.raises(ContractError, match="use_coverage"):
+            forward_loss(params.groups, cfg, batch, use_coverage=True)
+        assert forward_loss(params.groups, cfg, batch).coverage is None
+
     def test_cov_weight_scales_total(self, tiny_setup):
         cfg, params, batch, _ = tiny_setup
         half = forward_loss(params.groups, cfg, batch, cov_weight=0.5)
@@ -190,14 +197,13 @@ class TestPaddingInvariance:
             setattr(padded, name, np.pad(arr, ((0, 0), (0, extra))))
         padded.src_mask = np.pad(padded.src_mask, ((0, 0), (0, extra)))
 
-        loss_a = forward_loss(params.groups, cfg, short, collect_steps=True)
-        loss_b = forward_loss(params.groups, cfg, padded, collect_steps=True)
+        loss_a = forward_loss(params.groups, cfg, short)
+        loss_b = forward_loss(params.groups, cfg, padded)
         assert abs(loss_a.total.item() - loss_b.total.item()) < 1e-9
-        for sa, sb in zip(loss_a.steps, loss_b.steps):
-            np.testing.assert_allclose(
-                sa.alpha.values, sb.alpha.values[:, : sa.alpha.shape[1]], atol=1e-9
-            )
-            assert (sb.alpha.values[:, sa.alpha.shape[1] :] == 0).all()
+        alpha_a, alpha_b = loss_a.outputs.alpha.values, loss_b.outputs.alpha.values
+        src_len = alpha_a.shape[-1]
+        np.testing.assert_allclose(alpha_a, alpha_b[..., :src_len], atol=1e-9)
+        assert (alpha_b[..., src_len:] == 0).all()
 
 
 class TestLossValues:
@@ -226,10 +232,9 @@ class TestLossValues:
         params = single_task_params(cfg, seed=2)
         batch, _ = tiny_batch(with_oov=True)
         assert (batch.dec_out >= cfg.vocab_size).any(), "need OOV targets"
-        loss = forward_loss(params.groups, cfg, batch, collect_steps=True)
-        for out in loss.steps:
-            assert out.final_dist.shape[-1] == cfg.vocab_size
-            assert out.p_gen is None
+        out = forward_loss(params.groups, cfg, batch).outputs
+        assert out.final_dist.shape == (*batch.dec_out.shape, cfg.vocab_size)
+        assert out.p_gen is None
 
     def test_float32_mode_runs(self):
         cfg = tiny_config(dtype="float32")
@@ -414,15 +419,17 @@ class TestWholeTargetLoss:
     def test_collected_steps_are_decode_step_outputs(self, use_pointer, use_coverage):
         cfg, params, batch = self.inputs(use_pointer, use_coverage, "float64")
         *_, want = stepwise_loss(params.groups, cfg, batch)
-        got = forward_loss(params.groups, cfg, batch, collect_steps=True).steps
-        assert len(got) == len(want) == batch.dec_in.shape[1]
-        for g, w in zip(got, want):
-            assert (g.p_gen is None) == (w.p_gen is None) == (not use_pointer)
+        got = forward_loss(params.groups, cfg, batch).outputs
+        assert (got.p_gen is None) == (not use_pointer)
+        assert len(want) == batch.dec_in.shape[1]
+        for t, w in enumerate(want):
             for name in ("alpha", "context", "vocab_dist", "final_dist", "p_gen"):
-                gv, wv = getattr(g, name), getattr(w, name)
+                gv, wv = getattr(got, name), getattr(w, name)
+                assert (gv is None) == (wv is None), name
                 if wv is not None:
-                    assert gv.shape == wv.shape, name
-                    assert close(gv.values, wv.values, 1e-12), name
+                    step = gv.values[:, t]
+                    assert step.shape == wv.shape, name
+                    assert close(step, wv.values, 1e-12), name
 
     def test_only_attention_runs_per_step(self, use_pointer, use_coverage):
         """One more target step adds one attention step to the tape and

@@ -200,11 +200,12 @@ class TestBackwardBasics:
         grads = backward(reduce_sum(x), wrt=[x, unused])
         np.testing.assert_array_equal(grads[unused], np.zeros((3, 3)))
 
-    def test_grad_attribute_is_assigned_not_accumulated(self):
+    def test_backward_does_not_accumulate_across_calls(self):
         x = tensor([1.0, 2.0])
         backward(reduce_sum(x))
-        backward(reduce_sum(multiply(x, x)))
-        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+        grads = backward(reduce_sum(multiply(x, x)))
+        np.testing.assert_array_equal(grads[x], [2.0, 4.0])
+        assert not hasattr(x, "grad")
 
     def test_gather_gradient_accumulates_repeats(self):
         table = tensor(np.ones((3, 2)))

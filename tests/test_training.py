@@ -67,6 +67,8 @@ class TestTrainConfig:
             TrainConfig(clip_norm=0.0)
         with pytest.raises(ContractError, match="coverage_mode"):
             TrainConfig(coverage_mode="sometimes")
+        with pytest.raises(ContractError, match="set model.use_coverage to false"):
+            TrainConfig(coverage_mode="off")
         with pytest.raises(ContractError, match="learning rate"):
             TrainConfig(lr=0.0)
         with pytest.raises(ContractError, match="patience"):
@@ -431,16 +433,39 @@ class TestTrainLoop:
         assert [r["step"] for r in vals] == [3, 6, 9]
 
     def test_coverage_off_means_total_equals_nll(self, tmp_path):
-        cfg = tiny_config()
+        cfg = tiny_config(use_coverage=False)
         run = tmp_path / "run"
         train(
-            cfg, quick_conf(coverage_mode="off", max_steps=3),
+            cfg, quick_conf(max_steps=3),
             solo_registry(cfg), [copy_task()], run,
         )
         for r in read_metrics(run):
             if r["kind"] == "train":
                 assert r["l_cov"] == 0.0
                 assert r["total"] == r["nll"]
+
+    def test_model_switch_alone_turns_coverage_off(self, tmp_path):
+        # A default TrainConfig schedules coverage "on"; the model's switch
+        # still keeps the coverage term and its feature out of training.
+        cfg = tiny_config(use_coverage=False)
+        reg = solo_registry(cfg)
+        cov_w = reg.task("copy")["Attn"]["cov_w"]
+        start = cov_w.values.copy()
+        train(cfg, TrainConfig(batch_size=8, max_steps=6, val_every=3), reg, [copy_task()],
+              tmp_path / "run")
+        trains = [r for r in read_metrics(tmp_path / "run") if r["kind"] == "train"]
+        assert len(trains) == 6
+        for r in trains:
+            assert r["l_cov"] == 0.0
+            assert r["total"] == r["nll"] + r["soft_penalty"]
+        np.testing.assert_array_equal(cov_w.values, start)
+
+    def test_phased_needs_model_coverage(self, tmp_path):
+        cfg = tiny_config(use_coverage=False)
+        run = tmp_path / "run"
+        with pytest.raises(ContractError, match="set model.use_coverage to true"):
+            train(cfg, quick_conf(coverage_mode="phased"), solo_registry(cfg), [copy_task()], run)
+        assert not run.exists()
 
     def test_determinism(self, tmp_path):
         cfg = tiny_config()
@@ -579,9 +604,9 @@ class TestTrainLoop:
             solo_reg.add_task(name)
             # the aux task trains without coverage inside the MTL run, so its
             # independent baseline must too
-            mode = "on" if name == "copy" else "off"
+            solo_cfg = dataclasses.replace(cfg, use_coverage=name == "copy")
             train(
-                cfg, quick_conf(ratios=(1,), max_steps=5, seed=3, coverage_mode=mode),
+                solo_cfg, quick_conf(ratios=(1,), max_steps=5, seed=3),
                 solo_reg, [task], tmp_path / f"solo-{name}",
             )
             mtl_flat = mtl_reg.task(name).flat()
