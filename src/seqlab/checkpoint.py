@@ -1,9 +1,10 @@
 """Self-describing run snapshots.
 
 A checkpoint is a single ``.npz`` archive holding a version field, the run
-config echo, the global step counter, every task's named parameter arrays,
-per-task optimizer moments, and each task's vocabulary.  Everything needed
-to resume or decode is in the file; nothing is pickled.
+config echo, the global step counter, the tasks that trained with coverage
+at that step, every task's named parameter arrays, per-task optimizer
+moments, and each task's vocabulary.  Everything needed to resume or decode
+is in the file; nothing is pickled.
 """
 
 from __future__ import annotations
@@ -12,14 +13,14 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import CheckpointError
 from .sharing import TaskParams
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -42,6 +43,7 @@ class Checkpoint:
     step: int
     config: dict
     tasks: tuple[str, ...]
+    coverage: tuple[str, ...]  # the tasks that trained with coverage
     params: NestedArrays
     adam_m: NestedArrays = field(default_factory=dict)
     adam_v: NestedArrays = field(default_factory=dict)
@@ -62,11 +64,14 @@ def save_checkpoint(
     step: int,
     tasks: Mapping[str, TaskParams],
     config: dict,
+    coverage: Iterable[str],
     optimizer=None,
     vocabs: Mapping[str, object] | None = None,
 ) -> Path:
     """Write one archive for all tasks.
 
+    `coverage` names the tasks whose model had coverage on at this step;
+    decoding a task rebuilds its model from the config echo and this record.
     `optimizer`, when given, maps task name to an object with ``m``/``v``
     dicts (flat name -> array) and an integer ``t``; `vocabs` maps task name
     to a Vocab (or any object with ``.tokens``).  The write is atomic: the
@@ -78,6 +83,7 @@ def save_checkpoint(
         "step": np.array(int(step)),
         "config": np.array(json.dumps(config)),
         "tasks": np.array(json.dumps(sorted(tasks))),
+        "coverage": np.array(json.dumps(sorted(coverage))),
     }
     for task, params in tasks.items():
         for tag, name, t in params.named():
@@ -125,7 +131,7 @@ def load_checkpoint(path) -> Checkpoint:
                 f"{path} is checkpoint version {version}; this build reads "
                 f"version {CHECKPOINT_VERSION}"
             )
-        for required in ("step", "config", "tasks"):
+        for required in ("step", "config", "tasks", "coverage"):
             if required not in keys:
                 raise CheckpointError(f"{path} is missing the {required!r} field")
         ckpt = Checkpoint(
@@ -133,6 +139,7 @@ def load_checkpoint(path) -> Checkpoint:
             step=int(archive["step"]),
             config=json.loads(str(archive["config"])),
             tasks=tuple(json.loads(str(archive["tasks"]))),
+            coverage=tuple(json.loads(str(archive["coverage"]))),
             params={},
         )
         for key in keys:

@@ -161,8 +161,8 @@ def cmd_train(args) -> int:
 
 
 def _checkpoint_model(ckpt, task: str) -> ModelConfig:
-    """The model `task` was trained as: training gives coverage to the
-    primary task, the first of the echoed task list, and to no other."""
+    """The model `task` was trained as at the checkpoint's step: the echoed
+    model config, with coverage as the checkpoint records it for `task`."""
     model_echo = ckpt.config.get("model")
     if not isinstance(model_echo, dict):
         raise CheckpointError("checkpoint config echo lacks a model section")
@@ -170,10 +170,7 @@ def _checkpoint_model(ckpt, task: str) -> ModelConfig:
         mcfg = ModelConfig(**model_echo)
     except (TypeError, ContractError) as exc:
         raise CheckpointError(f"checkpoint model config is invalid: {exc}") from exc
-    trained = ckpt.config.get("tasks")
-    if isinstance(trained, list) and trained and task != trained[0]:
-        mcfg = dataclasses.replace(mcfg, use_coverage=False)
-    return mcfg
+    return dataclasses.replace(mcfg, use_coverage=task in ckpt.coverage)
 
 
 def _checkpoint_task(ckpt, requested: str | None) -> str:

@@ -18,14 +18,13 @@ A run is described by one JSON document with these sections:
     Optimisation knobs (see :class:`seqlab.training.TrainConfig`).
 ``decode``
     Beam search defaults (:class:`DecodeConfig`).
-``eval``
-    Reporting knobs (:class:`EvalConfig`).
 ``tasks``
     Ordered list of task definitions (:class:`TaskDef`).  The first task is
-    primary: it drives early stopping and alone gets coverage, when
-    ``model.use_coverage`` is true.  ``model.use_coverage`` is the one
-    coverage switch, for training and decoding alike; ``train.coverage_mode``
-    only schedules it (``"on"`` or ``"phased"``).
+    primary: it drives early stopping, and the trainer gives it alone
+    coverage when ``model.use_coverage`` is true; ``train.coverage_mode``
+    only schedules it (``"on"`` or ``"phased"``).  Each checkpoint records
+    the tasks that had coverage at its step, and decoding follows that
+    record.
 
 Parsing is strict: an unknown key anywhere raises :class:`ConfigError`
 naming the key and the section it appeared in.  ``RunConfig.to_dict()``
@@ -48,7 +47,6 @@ from .training import TrainConfig
 
 __all__ = [
     "DecodeConfig",
-    "EvalConfig",
     "TaskDef",
     "RunConfig",
     "parse_run_config",
@@ -78,13 +76,6 @@ class DecodeConfig:
                 f"decode.min_len must be in [0, max_len], got "
                 f"min_len={self.min_len} max_len={self.max_len}"
             )
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """Reporting knobs for the eval command."""
-
-    per_example: bool = True
 
 
 @dataclass(frozen=True)
@@ -137,7 +128,6 @@ class RunConfig:
     plan: SharingPlan
     train: TrainConfig
     decode: DecodeConfig = DecodeConfig()
-    eval: EvalConfig = EvalConfig()
     out_dir: str = "run"
     seed: int = 0
 
@@ -169,7 +159,6 @@ class RunConfig:
                 "ratios": list(self.train.ratios),
             },
             "decode": dataclasses.asdict(self.decode),
-            "eval": dataclasses.asdict(self.eval),
         }
 
     def save(self, path: str | Path) -> None:
@@ -246,7 +235,7 @@ def parse_run_config(data: Mapping[str, Any]) -> RunConfig:
     data = _require_mapping(data, "config")
     _check_keys(
         data,
-        {"seed", "out_dir", "tasks", "model", "plan", "train", "decode", "eval"},
+        {"seed", "out_dir", "tasks", "model", "plan", "train", "decode"},
         "config",
     )
 
@@ -291,9 +280,6 @@ def parse_run_config(data: Mapping[str, Any]) -> RunConfig:
     decode = _build(
         DecodeConfig, _require_mapping(data.get("decode", {}), "decode"), "decode"
     )
-    eval_cfg = _build(
-        EvalConfig, _require_mapping(data.get("eval", {}), "eval"), "eval"
-    )
 
     try:
         return RunConfig(
@@ -302,7 +288,6 @@ def parse_run_config(data: Mapping[str, Any]) -> RunConfig:
             plan=plan,
             train=train,
             decode=decode,
-            eval=eval_cfg,
             out_dir=out_dir,
             seed=seed,
         )

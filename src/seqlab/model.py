@@ -24,7 +24,9 @@ max-shifted softmax turns into exactly zero attention.
 
 The per-step coverage penalty is sum_i min(attention_i, coverage_i); both
 it and the token negative log-likelihood are averaged over real decoder
-steps per example, then over the batch.
+steps per example, then over the batch.  Whether coverage (feature, loss
+term and decoding state) is on is ``ModelConfig.use_coverage`` of the
+config a call receives, and nothing else.
 
 Under teacher forcing (`forward_loss`) the decoder LSTMs read only the gold
 previous token and the layer below, never the attention context, so ``D1``
@@ -462,23 +464,18 @@ def forward_loss(
     cfg: ModelConfig,
     batch: Batch,
     cov_weight: float = 1.0,
-    use_coverage: bool | None = None,
 ) -> LossParts:
     """Teacher-forced loss over a batch.
 
     Everything but attention runs once over the whole target (see the
-    module docstring).  Coverage follows ``cfg.use_coverage``;
-    ``use_coverage=False`` turns it off for this call only, and asking for
-    coverage that ``cfg`` turns off is a ContractError.
+    module docstring).  Coverage follows ``cfg.use_coverage`` alone; a
+    caller that trains one task with coverage and another without passes
+    each its own config.
 
     Token negative log-likelihood and the coverage penalty are both averaged
     over each example's real decoder steps, then over the batch; the total
     is ``nll + cov_weight * coverage``.
     """
-    if use_coverage and not cfg.use_coverage:
-        raise ContractError("forward_loss: coverage requested but cfg.use_coverage is false")
-    if use_coverage is None:
-        use_coverage = cfg.use_coverage
     bsz, dec_len = batch.dec_in.shape
     gold = batch.dec_out
     if not cfg.use_pointer:
@@ -495,7 +492,7 @@ def forward_loss(
     h2 = getitem(lstm(h1, *ctx.d2, h2_0, c2_0), (..., slice(None, hid)))  # [B, T, h]
     query = attention_query(params["Attn"], h2)
 
-    coverage = ctx.fresh_coverage() if use_coverage else None
+    coverage = ctx.fresh_coverage() if cfg.use_coverage else None
     alphas: list[Tensor] = []
     contexts: list[Tensor] = []
     coverages: list[Tensor] = []  # the coverage each step starts from
@@ -506,7 +503,7 @@ def forward_loss(
         )
         alphas.append(alpha)
         contexts.append(context)
-        if use_coverage:
+        if cfg.use_coverage:
             coverages.append(coverage)
             coverage = add(coverage, alpha)
     alpha = _stack_steps(alphas)                                            # [B, T, S]
@@ -516,7 +513,7 @@ def forward_loss(
     weights = batch.dec_mask / batch.dec_mask.sum(axis=1, keepdims=True)
     weights = tensor(weights.astype(cfg.np_dtype))
     nll = scale(reduce_sum(multiply(step_nll(out.final_dist, gold), weights)), -1.0 / bsz)
-    if use_coverage:
+    if cfg.use_coverage:
         overlap = reduce_sum(minimum(alpha, _stack_steps(coverages)), axis=-1)  # [B, T]
         cov = scale(reduce_sum(multiply(overlap, weights)), 1.0 / bsz)
         total = add(nll, scale(cov, cov_weight))

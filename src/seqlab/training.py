@@ -13,7 +13,7 @@ import json
 import math
 import os
 import socket
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -44,7 +44,6 @@ __all__ = [
     "clip_gradients",
     "AdamState",
     "adam_step",
-    "sgd_step",
     "penalty_descent",
     "validation_loss",
     "token_accuracy",
@@ -71,11 +70,12 @@ class TrainConfig:
     """Knobs for one run.
 
     `ratios` aligns with the task list passed to `train`; the first task is
-    the primary one (its validation loss drives early stopping, and it alone
-    gets coverage).  Whether it gets coverage at all is
+    the primary one (its validation loss drives early stopping, and `train`
+    gives it alone coverage).  Whether it gets coverage at all is
     `ModelConfig.use_coverage`; `coverage_mode` only schedules it: "on"
     (from step 1) or "phased" (activate coverage and drop to `coverage_lr`
-    once the no-coverage model has converged).
+    once the no-coverage model has converged).  `warm_fraction`, in (0, 1],
+    is the `warm_start` fraction for tasks that warm-start from a run.
     """
 
     cov_weight: float = 1.0
@@ -93,9 +93,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.warm_fraction <= 1.0:
+        if not 0.0 < self.warm_fraction <= 1.0:
             raise ContractError(
-                f"warm_fraction must be in [0, 1], got {self.warm_fraction}"
+                f"warm_fraction must be in (0, 1], got {self.warm_fraction}"
             )
         if not self.ratios or min(self.ratios) < 0 or max(self.ratios) == 0:
             raise ContractError(
@@ -244,13 +244,6 @@ def adam_step(
     return state
 
 
-def sgd_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], lr: float) -> None:
-    """Plain in-place gradient descent."""
-    for name, tensor_ in params.items():
-        if name in grads:
-            tensor_.values -= lr * grads[name]
-
-
 def penalty_descent(
     registry: ParamRegistry, steps: int, lr: float = 1e-3
 ) -> list[float]:
@@ -277,8 +270,9 @@ def penalty_descent(
     for i in range(steps):
         task = order[i % len(order)]
         _, grads = registry.soft_penalty(task)
-        flat = registry.task(task).flat()
-        sgd_step(flat, {f"{t}/{n}": g for (t, n), g in grads.items()}, lr)
+        groups = registry.task(task).groups
+        for (tag, name), g in grads.items():
+            groups[tag][name].values -= lr * g
         trajectory.append(total_distance())
     return trajectory
 
@@ -293,9 +287,11 @@ def validation_loss(
     examples: Sequence[EncodedExample],
     batch_size: int,
     cov_weight: float,
-    use_coverage: bool,
 ) -> tuple[float, float]:
-    """Per-example mean (nll, objective) over a held-out set, grad-free."""
+    """Per-example mean (nll, objective) over a held-out set, grad-free.
+
+    The objective includes the coverage term when `cfg.use_coverage` is on.
+    """
     if not examples:
         raise ContractError("validation_loss: empty example set")
     nll_sum = 0.0
@@ -303,9 +299,7 @@ def validation_loss(
     with no_grad():
         for batch in batches_once(examples, batch_size, dtype=cfg.np_dtype):
             n = batch.src_ids.shape[0]
-            parts = forward_loss(
-                params, cfg, batch, cov_weight=cov_weight, use_coverage=use_coverage
-            )
+            parts = forward_loss(params, cfg, batch, cov_weight=cov_weight)
             nll_sum += float(parts.nll.values) * n
             loss_sum += float(parts.total.values) * n
     count = len(examples)
@@ -424,8 +418,14 @@ def train(
     improved for `patience` consecutive evaluations ("converged"); in
     phased coverage mode the first convergence instead switches coverage on
     at the reduced learning rate and training continues to a second stop.
-    Coverage applies to the primary task only, and only when
-    `cfg.use_coverage` is true.
+
+    This loop alone decides which task has coverage: each task runs under
+    its own copy of `cfg`, and only the primary task's copy has
+    `use_coverage` on, while coverage is active and `cfg.use_coverage` is
+    true.  Every checkpoint records the tasks that had it at its step; in a
+    phased run the checkpoint of the switch step records none, because that
+    step still trained without coverage.
+
     A non-finite loss aborts the run with NumericError; checkpoints already
     on disk are kept.
     """
@@ -494,7 +494,9 @@ def train(
                     )
 
             schedule = mixing_scheduler(tconf.ratios, names)
-            coverage_active = cfg.use_coverage and tconf.coverage_mode == "on"
+            task_cfg = {n: replace(cfg, use_coverage=False) for n in names}
+            if tconf.coverage_mode == "on":
+                task_cfg[primary] = cfg
             lr = tconf.lr
             best_val = math.inf
             best_step = 0
@@ -510,6 +512,7 @@ def train(
                     step=step_now,
                     tasks=params,
                     config=echo,
+                    coverage=covered,
                     optimizer=adam,
                     vocabs=vocabs,
                 )
@@ -518,14 +521,11 @@ def train(
             while step < tconf.max_steps:
                 step += 1
                 task = next(schedule)
+                # The tasks this step trains with coverage; checkpoints record them.
+                covered = [n for n in names if task_cfg[n].use_coverage]
                 batch = next(iters[task])
-                use_cov = coverage_active and task == primary
                 parts = forward_loss(
-                    params[task],
-                    cfg,
-                    batch,
-                    cov_weight=tconf.cov_weight,
-                    use_coverage=use_cov,
+                    params[task], task_cfg[task], batch, cov_weight=tconf.cov_weight
                 )
                 penalty_value, penalty_grads = registry.soft_penalty(task)
                 total_value = float(parts.total.values) + penalty_value
@@ -566,14 +566,12 @@ def train(
                 if step % tconf.val_every == 0:
                     primary_loss = None
                     for name in names:
-                        v_cov = coverage_active and name == primary
                         v_nll, v_loss = validation_loss(
                             params[name],
-                            cfg,
+                            task_cfg[name],
                             enc_val[name],
                             tconf.batch_size,
                             tconf.cov_weight,
-                            v_cov,
                         )
                         _log(
                             log, kind="val", step=step, task=name,
@@ -588,8 +586,8 @@ def train(
                     else:
                         bad_evals += 1
                     if bad_evals >= tconf.patience:
-                        if tconf.coverage_mode == "phased" and not coverage_active:
-                            coverage_active = True
+                        if tconf.coverage_mode == "phased" and not task_cfg[primary].use_coverage:
+                            task_cfg[primary] = cfg
                             lr = tconf.coverage_lr
                             best_val = math.inf
                             best_step = 0

@@ -106,11 +106,8 @@ def test_criterion_2_distribution_invariants():
                 Example(sample(len_b), sample(int(rng.integers(1, 5)))),
             ]
             batch = make_batch([encode_example(ex, vocab) for ex in examples])
-            parts = forward_loss(
-                params, cfg, batch,
-                cov_weight=1.0,
-                use_coverage=bool(rng.integers(0, 2)),
-            )
+            draw_cfg = dataclasses.replace(cfg, use_coverage=bool(rng.integers(0, 2)))
+            parts = forward_loss(params, draw_cfg, batch, cov_weight=1.0)
             ext = batch.ext_size(cfg.vocab_size)
             padded = batch.src_mask == 0.0
             assert padded.any()
@@ -254,7 +251,7 @@ def test_criterion_4_coverage_effect(tmp_path):
         dec_mask=np.ones((1, 1)),
         max_oov=0, oovs=((),), examples=(ex,),
     )
-    parts = forward_loss(params, cfg, one_step, cov_weight=1.0, use_coverage=True)
+    parts = forward_loss(params, cfg, one_step, cov_weight=1.0)
     assert float(parts.coverage.values) == 0.0
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import seqlab.cli as cli
+import seqlab.training as training
 from seqlab.checkpoint import load_checkpoint, save_checkpoint
 from seqlab.cli import EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from seqlab.config import parse_run_config
@@ -28,6 +29,7 @@ from seqlab.decoding import ROW_BUDGET, beam_search, greedy_decode
 from seqlab.model import ModelConfig
 from seqlab.sharing import ParamRegistry, SharingPlan
 from seqlab.tensor import Tensor, multiply, reduce_sum
+from seqlab.training import TrainConfig, TrainTask, train
 
 if sys.version_info >= (3, 11):
     import tomllib
@@ -376,7 +378,7 @@ class TestDecodeCommand:
         vocab = SPEC.vocab()
         ck = tmp_path / "multi.npz"
         save_checkpoint(
-            ck, step=0, tasks=tasks, config={"model": asdict(mcfg)},
+            ck, step=0, tasks=tasks, config={"model": asdict(mcfg)}, coverage=[],
             vocabs={"a": vocab, "b": vocab},
         )
         src = tmp_path / "in.jsonl"
@@ -398,9 +400,9 @@ class TestDecodeCommand:
         )
         assert rc == EXIT_OK
 
-    def test_only_primary_task_decodes_with_coverage(self, tmp_path):
-        # Training gives coverage to the primary (first) task alone, so a
-        # co-task decodes without it, the way it was trained.
+    def test_each_task_decodes_with_its_recorded_coverage(self, tmp_path):
+        # The checkpoint's coverage record alone decides: here it names the
+        # second task, so the first decodes without coverage.
         mcfg = ModelConfig(vocab_size=VOCAB_SIZE, emb_dim=4, hidden=4, use_coverage=True)
         registry = ParamRegistry(mcfg, SharingPlan.solo(), seed=0, init_range=0.5)
         tasks = {"a": registry.add_task("a"), "b": registry.add_task("b")}
@@ -408,14 +410,14 @@ class TestDecodeCommand:
         ck = tmp_path / "multi.npz"
         save_checkpoint(
             ck, step=0, tasks=tasks, config={"model": asdict(mcfg), "tasks": ["a", "b"]},
-            vocabs={"a": vocab, "b": vocab},
+            coverage=["b"], vocabs={"a": vocab, "b": vocab},
         )
         examples = make_task_corpora("copy", seed=2, sizes=(1, 1, 8), spec=SPEC).test
         src = tmp_path / "in.jsonl"
         save_corpus(src, examples)
         encoded = [encode_source_only(ex, vocab) for ex in examples]
         no_cov = replace(mcfg, use_coverage=False)
-        for task, want_cfg, other_cfg in (("a", mcfg, no_cov), ("b", no_cov, mcfg)):
+        for task, want_cfg, other_cfg in (("a", no_cov, mcfg), ("b", mcfg, no_cov)):
             out = tmp_path / f"{task}.jsonl"
             rc = main(["decode", "--checkpoint", str(ck), "--input", str(src),
                        "--task", task, "--beam", "2", "--max-len", "5", "--output", str(out)])
@@ -426,6 +428,41 @@ class TestDecodeCommand:
             other = [p[0].score for p in beam_search(params, other_cfg, encoded, 2, 5)]
             assert got == want
             assert got != other
+
+    def test_phased_checkpoints_decode_as_they_trained(self, tmp_path, monkeypatch):
+        # A flat validation loss makes the phased run switch coverage on at
+        # step 3's validation: checkpoints 1-3 trained without coverage and
+        # must decode without it, checkpoints 4-6 with it.
+        monkeypatch.setattr(training, "validation_loss", lambda *a, **k: (1.0, 1.0))
+        mcfg = ModelConfig(vocab_size=VOCAB_SIZE, emb_dim=4, hidden=4, use_coverage=True)
+        registry = ParamRegistry(mcfg, SharingPlan.solo(), seed=0, init_range=0.5)
+        registry.add_task("copy")
+        corp = make_task_corpora("copy", seed=2, sizes=(16, 4, 8), spec=SPEC)
+        vocab = SPEC.vocab()
+        tconf = TrainConfig(
+            batch_size=4, max_steps=20, val_every=1, checkpoint_every=1, patience=2,
+            coverage_mode="phased",
+        )
+        result = train(mcfg, tconf, registry, [TrainTask("copy", corp, vocab)], tmp_path / "run")
+        assert result.checkpoint_steps == (1, 2, 3, 4, 5, 6)
+        src = tmp_path / "in.jsonl"
+        save_corpus(src, corp.test)
+        encoded = [encode_source_only(ex, vocab) for ex in corp.test]
+        no_cov = replace(mcfg, use_coverage=False)
+        for step in result.checkpoint_steps:
+            ck = tmp_path / "run" / "checkpoints" / f"step-{step:06d}.npz"
+            out = tmp_path / f"step-{step}.jsonl"
+            rc = main(["decode", "--checkpoint", str(ck), "--input", str(src),
+                       "--beam", "2", "--max-len", "5", "--output", str(out)])
+            assert rc == EXIT_OK
+            got = [json.loads(line)["score"] for line in out.read_text().splitlines()]
+            params = {
+                tag: {name: Tensor(arr) for name, arr in group.items()}
+                for tag, group in load_checkpoint(ck).task_arrays("copy").items()
+            }
+            want_cfg, other_cfg = (no_cov, mcfg) if step <= 3 else (mcfg, no_cov)
+            assert got == [p[0].score for p in beam_search(params, want_cfg, encoded, 2, 5)]
+            assert got != [p[0].score for p in beam_search(params, other_cfg, encoded, 2, 5)]
 
     def test_empty_input_exits_2(self, trained, tmp_path, capsys):
         src = tmp_path / "empty.jsonl"

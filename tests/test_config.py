@@ -7,7 +7,6 @@ import pytest
 
 from seqlab.config import (
     DecodeConfig,
-    EvalConfig,
     RunConfig,
     TaskDef,
     load_run_config,
@@ -34,7 +33,6 @@ class TestParsing:
         assert cfg.seed == 0
         assert cfg.out_dir == "run"
         assert cfg.decode == DecodeConfig(beam=4, max_len=20, min_len=0)
-        assert cfg.eval == EvalConfig(per_example=True)
         assert cfg.plan == SharingPlan.solo()
         assert cfg.train.ratios == (1,)
         assert cfg.model.vocab_size == 12
@@ -111,8 +109,9 @@ class TestStrictness:
             parse_run_config(minimal_dict(decode={"temperature": 1.0}))
 
     def test_unknown_eval_key(self):
-        with pytest.raises(ConfigError, match="unknown key 'bleu' in eval"):
-            parse_run_config(minimal_dict(eval={"bleu": True}))
+        # The "eval" section is gone; old configs that still carry it are refused.
+        with pytest.raises(ConfigError, match="unknown key 'eval' in config"):
+            parse_run_config(minimal_dict(eval={"per_example": True}))
 
     def test_unknown_task_key(self):
         d = minimal_dict()
@@ -209,8 +208,9 @@ class TestValidation:
             parse_run_config(minimal_dict(out_dir=""))
 
     def test_train_field_validation_is_prefixed(self):
-        with pytest.raises(ConfigError, match="train: warm_fraction must be in"):
-            parse_run_config(minimal_dict(train={"warm_fraction": 1.5}))
+        for fraction in (1.5, 0.0):
+            with pytest.raises(ConfigError, match=r"train: warm_fraction must be in \(0, 1\]"):
+                parse_run_config(minimal_dict(train={"warm_fraction": fraction}))
 
     def test_coverage_mode_off_points_to_model_switch(self):
         with pytest.raises(ConfigError, match="train: coverage_mode .* set model.use_coverage to false"):
@@ -255,7 +255,6 @@ class TestRoundTrip:
                     "warm_fraction": 0.9,
                 },
                 "decode": {"beam": 6, "max_len": 10, "min_len": 2},
-                "eval": {"per_example": False},
                 "tasks": [
                     {
                         "name": "copy-oov",

@@ -1,6 +1,7 @@
 """Model forward pass: shapes, distribution invariants, coverage, gradients."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -160,20 +161,13 @@ class TestCoverage:
 
     def test_coverage_changes_loss(self, tiny_setup):
         cfg, params, batch, _ = tiny_setup
-        with_cov = forward_loss(params.groups, cfg, batch, use_coverage=True)
-        without = forward_loss(params.groups, cfg, batch, use_coverage=False)
+        with_cov = forward_loss(params.groups, cfg, batch)
+        without = forward_loss(params.groups, dataclasses.replace(cfg, use_coverage=False), batch)
         assert with_cov.coverage is not None and without.coverage is None
         assert with_cov.total.item() == pytest.approx(
             with_cov.nll.item() + with_cov.coverage.item()
         )
         assert without.total.item() == pytest.approx(without.nll.item())
-
-    def test_coverage_cannot_be_forced_on(self, tiny_setup):
-        _, params, batch, _ = tiny_setup
-        cfg = tiny_config(use_coverage=False)
-        with pytest.raises(ContractError, match="use_coverage"):
-            forward_loss(params.groups, cfg, batch, use_coverage=True)
-        assert forward_loss(params.groups, cfg, batch).coverage is None
 
     def test_cov_weight_scales_total(self, tiny_setup):
         cfg, params, batch, _ = tiny_setup

@@ -44,7 +44,6 @@ from seqlab.training import (
     mixing_scheduler,
     penalty_descent,
     read_metrics,
-    sgd_step,
     train,
     validation_loss,
     warm_start,
@@ -236,11 +235,6 @@ class TestAdam:
         with pytest.raises(ContractError, match="no gradient"):
             adam_step(params, {"w": np.zeros(3)}, state, lr=0.1)
 
-    def test_sgd_step(self):
-        params = toy_params()
-        sgd_step(params, {"w": np.array([1.0, 2.0, 3.0])}, lr=0.1)
-        np.testing.assert_allclose(params["w"].values, [-0.1, -0.2, -0.3])
-
 
 class TestPenaltyDescent:
     def test_distance_shrinks_monotonically(self):
@@ -278,6 +272,7 @@ def small_setup(tmp_path, hidden=8):
         step=42,
         tasks={"a": params},
         config={"note": "unit"},
+        coverage=["a"],
         optimizer={"a": state},
         vocabs={"a": vocab},
     )
@@ -292,6 +287,7 @@ class TestCheckpoint:
         assert ckpt.step == 42
         assert ckpt.config == {"note": "unit"}
         assert ckpt.tasks == ("a",)
+        assert ckpt.coverage == ("a",)
         for tag, name, t in params.named():
             np.testing.assert_array_equal(ckpt.params["a"][tag][name], t.values)
         assert ckpt.adam_t["a"] == 3
@@ -369,10 +365,34 @@ class TestCheckpoint:
         assert "version 1" in str(err.value)
         assert f"version {CHECKPOINT_VERSION}" in str(err.value)
 
+    def test_version_2_archive_without_coverage_record_is_refused(self, tmp_path):
+        # Version 2 did not record which tasks trained with coverage.
+        path = tmp_path / "v2.npz"
+        np.savez(
+            path,
+            version=np.array(2),
+            step=np.array(5),
+            config=np.array(json.dumps({})),
+            tasks=np.array(json.dumps(["a"])),
+        )
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert "version 2" in str(err.value)
+        assert f"version {CHECKPOINT_VERSION}" in str(err.value)
+
     def test_missing_required_field(self, tmp_path):
         path = tmp_path / "partial.npz"
         np.savez(path, version=np.array(CHECKPOINT_VERSION), step=np.array(1))
         with pytest.raises(CheckpointError, match="config"):
+            load_checkpoint(path)
+        np.savez(
+            path,
+            version=np.array(CHECKPOINT_VERSION),
+            step=np.array(1),
+            config=np.array(json.dumps({})),
+            tasks=np.array(json.dumps(["a"])),
+        )
+        with pytest.raises(CheckpointError, match="coverage"):
             load_checkpoint(path)
 
 
@@ -637,7 +657,7 @@ class TestTrainLoop:
             examples = [encode_example(ex, tasks[0].vocab) for ex in tasks[0].corpora.train]
             rng = np.random.default_rng(task_seed(tconf.seed, "copy", stream=1))
             batch = next(batch_iterator(examples, tconf.batch_size, rng, dtype=cfg.np_dtype))
-            loss = forward_loss(own, cfg, batch, cov_weight=tconf.cov_weight, use_coverage=True).total
+            loss = forward_loss(own, cfg, batch, cov_weight=tconf.cov_weight).total
             if with_penalty:
                 penalty = None
                 for tag in ref.plan.soft_tags:
@@ -705,8 +725,9 @@ class TestValidationLoss:
         corp = make_task_corpora("copy", seed=5, sizes=(4, 6, 4), spec=TINY_SPEC)
         vocab = TINY_SPEC.vocab()
         enc = [encode_example(ex, vocab) for ex in corp.val]
-        nll_off, loss_off = validation_loss(params, cfg, enc, 4, 1.0, use_coverage=False)
-        nll_on, loss_on = validation_loss(params, cfg, enc, 4, 1.0, use_coverage=True)
+        no_cov = dataclasses.replace(cfg, use_coverage=False)
+        nll_off, loss_off = validation_loss(params, no_cov, enc, 4, 1.0)
+        nll_on, loss_on = validation_loss(params, cfg, enc, 4, 1.0)
         assert loss_off == nll_off
         assert nll_on == pytest.approx(nll_off)
         assert loss_on > nll_on  # coverage term is nonnegative and here positive
@@ -715,7 +736,7 @@ class TestValidationLoss:
         cfg = tiny_config()
         params = single_task_params(cfg)
         with pytest.raises(ContractError, match="empty"):
-            validation_loss(params, cfg, [], 4, 1.0, False)
+            validation_loss(params, cfg, [], 4, 1.0)
 
 
 class TestWarmStart:
@@ -727,7 +748,7 @@ class TestWarmStart:
         for s in ckpt_steps:
             save_checkpoint(
                 run / "checkpoints" / f"step-{s:06d}.npz",
-                step=s, tasks={"a": params}, config={},
+                step=s, tasks={"a": params}, config={}, coverage=[],
             )
         return run
 
@@ -779,7 +800,8 @@ class TestWarmStart:
         for step in (900, 1000):  # a new step, and an overwrite of an old one
             with pytest.raises(OSError, match="disk full"):
                 save_checkpoint(
-                    ckpt_dir / f"step-{step:06d}.npz", step=step, tasks={"a": params}, config={}
+                    ckpt_dir / f"step-{step:06d}.npz", step=step, tasks={"a": params},
+                    config={}, coverage=[],
                 )
         monkeypatch.undo()
 
