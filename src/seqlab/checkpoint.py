@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -116,51 +118,61 @@ def _nested(store: NestedArrays, task: str, tag: str, name: str, arr: np.ndarray
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read an archive; any file that is not a readable checkpoint of this
+    version (missing, truncated, corrupted or malformed) raises
+    `CheckpointError`."""
     path = Path(path)
     try:
         archive = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as exc:
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise CheckpointError(f"{path} holds a single array, not a checkpoint archive")
+        with archive:
+            return _read(path, archive)
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        # json.JSONDecodeError is a ValueError
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
-    with archive:
-        keys = set(archive.files)
-        if "version" not in keys:
-            raise CheckpointError(f"{path} has no version field; not a checkpoint")
-        version = int(archive["version"])
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{path} is checkpoint version {version}; this build reads "
-                f"version {CHECKPOINT_VERSION}"
-            )
-        for required in ("step", "config", "tasks", "coverage"):
-            if required not in keys:
-                raise CheckpointError(f"{path} is missing the {required!r} field")
-        ckpt = Checkpoint(
-            version=version,
-            step=int(archive["step"]),
-            config=json.loads(str(archive["config"])),
-            tasks=tuple(json.loads(str(archive["tasks"]))),
-            coverage=tuple(json.loads(str(archive["coverage"]))),
-            params={},
+
+
+def _read(path: Path, archive) -> Checkpoint:
+    keys = set(archive.files)
+    if "version" not in keys:
+        raise CheckpointError(f"{path} has no version field; not a checkpoint")
+    version = int(archive["version"])
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{path} is checkpoint version {version}; this build reads "
+            f"version {CHECKPOINT_VERSION}"
         )
-        for key in keys:
-            parts = key.split("/")
-            if parts[0] == "params":
-                if len(parts) != 4:
-                    raise CheckpointError(f"{path}: malformed parameter key {key!r}")
-                _nested(ckpt.params, parts[1], parts[2], parts[3], archive[key])
-            elif parts[0] == "adam":
-                if len(parts) == 3 and parts[2] == "t":
-                    ckpt.adam_t[parts[1]] = int(archive[key])
-                elif len(parts) == 5 and parts[2] in ("m", "v"):
-                    store = ckpt.adam_m if parts[2] == "m" else ckpt.adam_v
-                    _nested(store, parts[1], parts[3], parts[4], archive[key])
-                else:
-                    raise CheckpointError(f"{path}: malformed optimizer key {key!r}")
-            elif parts[0] == "vocab":
-                ckpt.vocabs[parts[1]] = tuple(str(t) for t in archive[key])
-        missing = set(ckpt.tasks) - set(ckpt.params)
-        if missing:
-            raise CheckpointError(f"{path}: no parameters for tasks {sorted(missing)}")
+    for required in ("step", "config", "tasks", "coverage"):
+        if required not in keys:
+            raise CheckpointError(f"{path} is missing the {required!r} field")
+    ckpt = Checkpoint(
+        version=version,
+        step=int(archive["step"]),
+        config=json.loads(str(archive["config"])),
+        tasks=tuple(json.loads(str(archive["tasks"]))),
+        coverage=tuple(json.loads(str(archive["coverage"]))),
+        params={},
+    )
+    for key in keys:
+        parts = key.split("/")
+        if parts[0] == "params":
+            if len(parts) != 4:
+                raise CheckpointError(f"{path}: malformed parameter key {key!r}")
+            _nested(ckpt.params, parts[1], parts[2], parts[3], archive[key])
+        elif parts[0] == "adam":
+            if len(parts) == 3 and parts[2] == "t":
+                ckpt.adam_t[parts[1]] = int(archive[key])
+            elif len(parts) == 5 and parts[2] in ("m", "v"):
+                store = ckpt.adam_m if parts[2] == "m" else ckpt.adam_v
+                _nested(store, parts[1], parts[3], parts[4], archive[key])
+            else:
+                raise CheckpointError(f"{path}: malformed optimizer key {key!r}")
+        elif parts[0] == "vocab":
+            ckpt.vocabs[parts[1]] = tuple(str(t) for t in archive[key])
+    missing = set(ckpt.tasks) - set(ckpt.params)
+    if missing:
+        raise CheckpointError(f"{path}: no parameters for tasks {sorted(missing)}")
     return ckpt
 
 

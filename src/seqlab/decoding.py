@@ -17,8 +17,8 @@ import numpy as np
 
 from .data import END_ID, PAD_ID, START_ID, UNK_ID, EncodedExample, Batch, make_batch
 from .errors import ContractError
-from .model import ModelConfig, Params, decode_step, encode, prepare_decoder
-from .tensor import no_grad, tensor
+from .model import ModelConfig, Params, decode_step, encode
+from .tensor import Tensor, no_grad, tensor
 
 __all__ = [
     "BANNED_IDS",
@@ -60,12 +60,6 @@ class Hypothesis:
     def score(self) -> float:
         """Length-normalized log-probability (sum over steps / steps)."""
         return self.logp / max(1, self.steps)
-
-
-def _context(params: Params, cfg: ModelConfig, examples: Sequence[EncodedExample]):
-    batch = make_batch(examples, dtype=cfg.np_dtype)
-    enc = encode(params, cfg, batch.src_ids, batch.src_mask)
-    return prepare_decoder(params, cfg, enc, batch.src_mask, batch.src_ext, batch.max_oov)
 
 
 def greedy_decode_batch(
@@ -134,30 +128,30 @@ def _beam_chunk(
     rows = n * k
     src_lens = [len(ex.src_ids) for ex in examples]
     # each source enters the batch k times, one decoder row per beam slot
-    ctx = _context(params, cfg, [ex for ex in examples for _ in range(k)])
+    batch = make_batch([ex for ex in examples for _ in range(k)], dtype=cfg.np_dtype)
+    ctx = encode(params, cfg, batch)
     state = ctx.init_state
-    cov = ctx.fresh_coverage().values if cfg.use_coverage else None
     # cumulative log-probability per row; an empty slot is -inf
     logp = np.full(rows, -np.inf)
     logp[::k] = 0.0
     seqs = np.zeros((rows, 0), dtype=np.int64)  # every live row has t tokens at step t
-    inputs = np.full(rows, START_ID)
+    inputs = np.full((rows, 1), START_ID)
     pools: list[list[Hypothesis]] = [[] for _ in range(n)]
 
-    def hyp(row: int, score: float, coverage: np.ndarray | None, finished: bool) -> Hypothesis:
-        own = None if coverage is None else coverage[row, : src_lens[row // k]].copy()
+    def hyp(row: int, score: float, coverage: Tensor | None, finished: bool) -> Hypothesis:
+        own = None if coverage is None else coverage.values[row, : src_lens[row // k]].copy()
         return Hypothesis(tuple(seqs[row].tolist()), float(score), own, finished)
 
     def keep_forced(sources) -> None:
         for s in sources:
             for row in range(s * k, s * k + k):
                 if logp[row] > -np.inf:
-                    pools[s].append(hyp(row, logp[row], cov, False))
+                    pools[s].append(hyp(row, logp[row], state[-1], False))
 
     for t in range(max_len):
-        out, new_state = decode_step(ctx, state, inputs, None if cov is None else tensor(cov))
+        out, new_state = decode_step(ctx, state, inputs)
         with np.errstate(divide="ignore"):
-            step = np.log(out.final_dist.values)
+            step = np.log(out.final_dist.values[:, 0])
         step[:, list(BANNED_IDS)] = -np.inf
         if t < min_len:
             step[:, END_ID] = -np.inf
@@ -173,9 +167,8 @@ def _beam_chunk(
         keep_forced(np.flatnonzero(~admissible[:, 0]))
         grows = admissible & (tok != END_ID)
         ahead = np.cumsum(grows, axis=1) - grows  # live candidates ranked above
-        child_cov = None if cov is None else cov + out.alpha.values
         for s, j in zip(*np.nonzero(admissible & ~grows & (ahead < k))):
-            pools[s].append(hyp(s * k + parent[s, j], scores[s, j], child_cov, True))
+            pools[s].append(hyp(s * k + parent[s, j], scores[s, j], new_state[-1], True))
         # a source whose best candidate is an end stops (each later step
         # adds log P_f <= 0, so no continuation reaches a higher total)
         src, col = np.nonzero(grows & (ahead < k) & (tok[:, :1] != END_ID))
@@ -189,10 +182,8 @@ def _beam_chunk(
         last = np.full(rows, END_ID)
         last[dest] = tok[src, col]
         seqs = np.concatenate([seqs[from_row], last[:, None]], axis=1)
-        state = tuple(tensor(x.values[from_row]) for x in new_state)
-        if cov is not None:
-            cov = child_cov[from_row]
-        inputs = np.where(last >= cfg.vocab_size, UNK_ID, last)
+        state = tuple(None if x is None else tensor(x.values[from_row]) for x in new_state)
+        inputs = np.where(last >= cfg.vocab_size, UNK_ID, last)[:, None]
     keep_forced(range(n))
     for pool in pools:
         pool.sort(key=lambda h: (-h.score, h.tokens))
@@ -215,9 +206,8 @@ def score_sequence(
     token_ids = list(token_ids)
     targets = token_ids + ([END_ID] if include_end else [])
     with no_grad():
-        ctx = _context(params, cfg, [example])
+        ctx = encode(params, cfg, make_batch([example], dtype=cfg.np_dtype))
         state = ctx.init_state
-        coverage = ctx.fresh_coverage() if cfg.use_coverage else None
         prev = START_ID
         total = 0.0
         for tok in targets:
@@ -226,10 +216,8 @@ def score_sequence(
                     f"score_sequence: id {tok} outside extended vocabulary "
                     f"of size {ctx.ext_size}"
                 )
-            out, state = decode_step(ctx, state, np.array([prev]), coverage)
+            out, state = decode_step(ctx, state, np.array([[prev]]))
             with np.errstate(divide="ignore"):
-                total += float(np.log(out.final_dist.values[0, tok]))
-            if coverage is not None:
-                coverage = tensor(coverage.values + out.alpha.values)
+                total += float(np.log(out.final_dist.values[0, 0, tok]))
             prev = tok if tok < cfg.vocab_size else UNK_ID
     return total

@@ -28,13 +28,17 @@ steps per example, then over the batch.  Whether coverage (feature, loss
 term and decoding state) is on is ``ModelConfig.use_coverage`` of the
 config a call receives, and nothing else.
 
-Under teacher forcing (`forward_loss`) the decoder LSTMs read only the gold
-previous token and the layer below, never the attention context, so ``D1``
-and ``D2`` each run once over the whole target, as the encoder layers do,
-and the attention query, output layers, copy gate and loss each run once
-over [B, T, ...].  Only attention steps one position at a time, because
-coverage feeds each step's attention into the next.  Decoding
-(`decode_step`) calls the same functions on one step at a time.
+There is one decoder.  `encode` runs the encoder and returns the
+`DecodeContext` that the decoder reads, with its start state; every LSTM
+layer, encoder or decoder, goes through `lstm_step`.  `decode_step` runs
+any number of steps from a state.  The decoder LSTMs read only the previous
+token and the layer below, never the attention context, so ``D1``, ``D2``,
+the attention query, the output layers and the copy gate each run once over
+[B, T, ...].  Only attention steps one position at a time, because coverage
+feeds each step's attention into the next; the coverage travels in the
+decoder state, and `decode_step` is the one place that adds attention to
+it.  Teacher forcing (`forward_loss`) is one `decode_step` over the whole
+target; beam search and `score_sequence` call it one step at a time.
 """
 
 from __future__ import annotations
@@ -183,63 +187,34 @@ def cell_weights(cell: ParamGroup, prefix: str) -> tuple[Tensor, Tensor, Tensor]
     return cell[f"{prefix}_w"], cell[f"{prefix}_u"], cell[f"{prefix}_b"]
 
 
-def _split_state(out: Tensor, t: int, hid: int) -> tuple[Tensor, Tensor]:
-    """The (h, c) that an `lstm` output holds for step `t`."""
-    h = getitem(out, (slice(None), t, slice(None, hid)))
-    c = getitem(out, (slice(None), t, slice(hid, None)))
-    return h, c
-
-
 def lstm_step(
-    weights: tuple[Tensor, Tensor, Tensor], x: Tensor, h: Tensor, c: Tensor
-) -> tuple[Tensor, Tensor]:
-    """One LSTM cell update of `x` [B, in] from (h, c): `lstm` over one step."""
-    out = lstm(reshape(x, (x.shape[0], 1, -1)), *weights, h, c)
-    return _split_state(out, 0, h.shape[-1])
+    weights: tuple[Tensor, Tensor, Tensor],
+    x: Tensor,
+    h: Tensor,
+    c: Tensor,
+    keep: np.ndarray | None = None,
+    reverse: bool = False,
+) -> tuple[Tensor, Tensor, Tensor]:
+    """One LSTM layer over every step of `x` [B, T, in] from (h, c).
 
-
-@dataclass
-class EncoderOutput:
-    states: Tensor                      # [B, T, 2h] second-layer outputs
-    init1: tuple[Tensor, Tensor]        # decoder layer-1 start state
-    init2: tuple[Tensor, Tensor]
-    src_len: int
+    Returns (h after each step [B, T, h], final h, final c), where the final
+    state is the one after the last step run: step 0 when `reverse`.  Where
+    `keep` [B, T] is 0 the state is frozen (see `lstm`).
+    """
+    hid = h.shape[-1]
+    out = lstm(x, *weights, h, c, keep, reverse)
+    last = 0 if reverse else x.shape[1] - 1
+    return (
+        getitem(out, (..., slice(None, hid))),
+        getitem(out, (slice(None), last, slice(None, hid))),
+        getitem(out, (slice(None), last, slice(hid, None))),
+    )
 
 
 def _init_state(group: ParamGroup, enc_h: Tensor, enc_c: Tensor) -> tuple[Tensor, Tensor]:
     h0 = add(matmul(enc_h, group["init_h_w"]), group["init_h_b"])
     c0 = add(matmul(enc_c, group["init_c_w"]), group["init_c_b"])
     return h0, c0
-
-
-def encode(params: Params, cfg: ModelConfig, src_ids: np.ndarray, src_mask: np.ndarray) -> EncoderOutput:
-    """Run both encoder layers; also derive the decoder's start states."""
-    if src_ids.ndim != 2:
-        raise ContractError(f"encode: src_ids must be [batch, time], got {src_ids.shape}")
-    bsz, steps = src_ids.shape
-    if steps < 1 or not (src_mask.sum(axis=1) >= 1).all():
-        raise ContractError("encode: every row needs at least one real token")
-    h = cfg.hidden
-    zeros = tensor(np.zeros((bsz, h), dtype=cfg.np_dtype))
-
-    def direction(cell: ParamGroup, prefix: str, x: Tensor, reverse: bool):
-        # Padded steps freeze the state, so the final state always belongs
-        # to the last (first, when reversed) real token.
-        out = lstm(x, *cell_weights(cell, prefix), zeros, zeros, src_mask, reverse)
-        last = 0 if reverse else steps - 1
-        return (getitem(out, (..., slice(None, h))), *_split_state(out, last, h))
-
-    embs = gather(params["Emb"]["table"], src_ids)
-    f1, f1_h, f1_c = direction(params["E1"], "fwd", embs, False)
-    b1, b1_h, b1_c = direction(params["E1"], "bwd", embs, True)
-    layer1 = concat([f1, b1])
-
-    f2, f2_h, f2_c = direction(params["E2"], "fwd", layer1, False)
-    b2, b2_h, b2_c = direction(params["E2"], "bwd", layer1, True)
-    states = concat([f2, b2])
-    init1 = _init_state(params["D1"], concat([f1_h, b1_h]), concat([f1_c, b1_c]))
-    init2 = _init_state(params["D2"], concat([f2_h, b2_h]), concat([f2_c, b2_c]))
-    return EncoderOutput(states, init1, init2, steps)
 
 
 def mask_penalty(src_mask: np.ndarray, dt=np.float64) -> Tensor:
@@ -324,107 +299,126 @@ def final_distribution(p_gen: Tensor, vocab_dist: Tensor, copy_dist: Tensor) -> 
     return add(multiply(vocab_dist, p_gen), multiply(copy_dist, stay))
 
 
-DecoderState = tuple[Tensor, Tensor, Tensor, Tensor]  # (h1, c1, h2, c2)
+DecoderState = tuple[Tensor, Tensor, Tensor, Tensor, Tensor | None]  # (h1, c1, h2, c2, coverage)
 
 
 @dataclass
 class DecodeContext:
-    """Everything that stays fixed across decode steps for one batch."""
+    """What `encode` gives the decoder: everything fixed across its steps
+    for one batch, and the state it starts from."""
 
     params: Params
     cfg: ModelConfig
-    enc: EncoderOutput
-    enc_feat: Tensor
-    penalty: Tensor
-    src_ext: np.ndarray
+    states: Tensor       # [B, S, 2h] second-layer encoder outputs
+    enc_feat: Tensor     # [B, S, a] their attention projection
+    penalty: Tensor      # [B, S] additive score mask
+    src_ext: np.ndarray  # [B, S] source ids in the extended vocabulary
     ext_size: int
-    d1: tuple[Tensor, ...]
-    d2: tuple[Tensor, ...]
-
-    @property
-    def init_state(self) -> DecoderState:
-        return (*self.enc.init1, *self.enc.init2)
-
-    def fresh_coverage(self) -> Tensor:
-        bsz = self.src_ext.shape[0]
-        return tensor(np.zeros((bsz, self.enc.src_len), dtype=self.cfg.np_dtype))
+    init_state: DecoderState
 
 
-def prepare_decoder(
-    params: Params,
-    cfg: ModelConfig,
-    enc: EncoderOutput,
-    src_mask: np.ndarray,
-    src_ext: np.ndarray,
-    max_oov: int,
-) -> DecodeContext:
-    ext_size = cfg.vocab_size + max_oov if cfg.use_pointer else cfg.vocab_size
+def encode(params: Params, cfg: ModelConfig, batch: Batch) -> DecodeContext:
+    """Run both encoder layers over the batch's sources; derive the decoder's
+    start state, with zero coverage when coverage is on."""
+    src_ids, src_mask = batch.src_ids, batch.src_mask
+    if src_ids.ndim != 2:
+        raise ContractError(f"encode: src_ids must be [batch, time], got {src_ids.shape}")
+    bsz, steps = src_ids.shape
+    if steps < 1 or not (src_mask.sum(axis=1) >= 1).all():
+        raise ContractError("encode: every row needs at least one real token")
+    zeros = tensor(np.zeros((bsz, cfg.hidden), dtype=cfg.np_dtype))
+
+    def layer(cell: ParamGroup, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+        """Both directions: outputs [B, S, 2h], final h and final c [B, 2h].
+        Padded steps freeze the state, so each direction's final state
+        belongs to its last (first, when reversed) real token."""
+        f, f_h, f_c = lstm_step(cell_weights(cell, "fwd"), x, zeros, zeros, src_mask)
+        b, b_h, b_c = lstm_step(cell_weights(cell, "bwd"), x, zeros, zeros, src_mask, reverse=True)
+        return concat([f, b]), concat([f_h, b_h]), concat([f_c, b_c])
+
+    layer1, h1, c1 = layer(params["E1"], gather(params["Emb"]["table"], src_ids))
+    states, h2, c2 = layer(params["E2"], layer1)
+    init1 = _init_state(params["D1"], h1, c1)
+    init2 = _init_state(params["D2"], h2, c2)
+    coverage = tensor(np.zeros((bsz, steps), dtype=cfg.np_dtype)) if cfg.use_coverage else None
     return DecodeContext(
         params=params,
         cfg=cfg,
-        enc=enc,
-        enc_feat=matmul(enc.states, params["Attn"]["enc_w"]),
+        states=states,
+        enc_feat=matmul(states, params["Attn"]["enc_w"]),
         penalty=mask_penalty(src_mask, cfg.np_dtype),
-        src_ext=src_ext,
-        ext_size=ext_size,
-        d1=cell_weights(params["D1"], "cell"),
-        d2=cell_weights(params["D2"], "cell"),
+        src_ext=batch.src_ext,
+        ext_size=batch.ext_size(cfg.vocab_size) if cfg.use_pointer else cfg.vocab_size,
+        init_state=(*init1, *init2, coverage),
     )
 
 
 @dataclass
 class StepOutput:
-    """The decoder's outputs for one step ([B, ...]) or for all steps ([B, T, ...])."""
+    """The decoder's outputs for every step it ran, [B, T, ...]."""
 
     alpha: Tensor
     context: Tensor
     vocab_dist: Tensor
     final_dist: Tensor
     p_gen: Tensor | None
+    coverage: Tensor | None  # the coverage each step started from
 
 
-def output_distributions(
-    ctx: DecodeContext, dec_state: Tensor, context: Tensor, alpha: Tensor, prev_emb: Tensor
-) -> StepOutput:
-    """The vocabulary, copy and mixed distributions, for any leading shape."""
-    params, cfg = ctx.params, ctx.cfg
-    vocab_dist = vocab_distribution(params["Out"], dec_state, context)
-    if cfg.use_pointer:
-        p_gen = generation_prob(params["Ptr"], context, dec_state, prev_emb)
-        copy_dist = copy_distribution(alpha, ctx.src_ext, ctx.ext_size)
-        final = final_distribution(p_gen, vocab_dist, copy_dist)
-    else:
-        if ctx.ext_size != cfg.vocab_size:
-            raise ContractError("output_distributions: extended ids need the pointer enabled")
-        p_gen = None
-        final = vocab_dist
-    return StepOutput(alpha, context, vocab_dist, final, p_gen)
+def _stack_steps(parts: list[Tensor]) -> Tensor:
+    """Per-step tensors [B, X] as one [B, T, X]."""
+    return reshape(concat(parts), (parts[0].shape[0], len(parts), -1))
 
 
 def decode_step(
-    ctx: DecodeContext,
-    state: DecoderState,
-    input_ids: np.ndarray,
-    coverage: Tensor | None,
+    ctx: DecodeContext, state: DecoderState, input_ids: np.ndarray
 ) -> tuple[StepOutput, DecoderState]:
-    """Advance the decoder one step.
+    """Run the decoder over `input_ids` [B, T] from `state`.
 
-    ``input_ids`` must be in-vocabulary (callers map copied OOVs to the
-    unknown id before feeding them back).  ``coverage`` is the attention sum
-    over all earlier steps, or None when the coverage feature is off.
+    Returns the outputs of all T steps and the state after the last one.
+    Only attention steps one position at a time, adding each step's
+    attention to the coverage that the state carries (None when coverage is
+    off).  ``input_ids`` must be in-vocabulary: callers map copied OOVs to
+    the unknown id.
     """
     params, cfg = ctx.params, ctx.cfg
     if input_ids.max(initial=0) >= cfg.vocab_size:
         raise ContractError("decode_step: input ids must be in-vocabulary")
-    h1, c1, h2, c2 = state
-    emb = gather(params["Emb"]["table"], input_ids)
-    h1, c1 = lstm_step(ctx.d1, emb, h1, c1)
-    h2, c2 = lstm_step(ctx.d2, h1, h2, c2)
-    query = attention_query(params["Attn"], h2)
-    alpha, context = attention_step(
-        params["Attn"], query, ctx.enc.states, coverage, ctx.penalty, ctx.enc_feat
-    )
-    return output_distributions(ctx, h2, context, alpha, emb), (h1, c1, h2, c2)
+    h1, c1, h2, c2, coverage = state
+    emb = gather(params["Emb"]["table"], input_ids)                            # [B, T, d]
+    out1, h1, c1 = lstm_step(cell_weights(params["D1"], "cell"), emb, h1, c1)
+    out2, h2, c2 = lstm_step(cell_weights(params["D2"], "cell"), out1, h2, c2)  # [B, T, h]
+    query = attention_query(params["Attn"], out2)
+
+    alphas: list[Tensor] = []
+    contexts: list[Tensor] = []
+    coverages: list[Tensor] = []
+    for t in range(input_ids.shape[1]):
+        alpha, context = attention_step(
+            params["Attn"], getitem(query, (slice(None), t)), ctx.states, coverage,
+            ctx.penalty, ctx.enc_feat,
+        )
+        alphas.append(alpha)
+        contexts.append(context)
+        if coverage is not None:
+            coverages.append(coverage)
+            coverage = add(coverage, alpha)
+    alpha = _stack_steps(alphas)                                               # [B, T, S]
+    context = _stack_steps(contexts)
+
+    vocab_dist = vocab_distribution(params["Out"], out2, context)
+    if cfg.use_pointer:
+        p_gen = generation_prob(params["Ptr"], context, out2, emb)
+        copy_dist = copy_distribution(alpha, ctx.src_ext, ctx.ext_size)
+        final = final_distribution(p_gen, vocab_dist, copy_dist)
+    else:
+        if ctx.ext_size != cfg.vocab_size:
+            raise ContractError("decode_step: extended ids need the pointer enabled")
+        p_gen = None
+        final = vocab_dist
+    started = None if coverage is None else _stack_steps(coverages)
+    out = StepOutput(alpha, context, vocab_dist, final, p_gen, started)
+    return out, (h1, c1, h2, c2, coverage)
 
 
 @dataclass
@@ -454,11 +448,6 @@ def step_nll(final_dist: Tensor, gold_ids: np.ndarray) -> Tensor:
     return log(reduce_sum(multiply(final_dist, tensor(onehot)), axis=-1))
 
 
-def _stack_steps(parts: list[Tensor]) -> Tensor:
-    """Per-step tensors [B, X] as one [B, T, X]."""
-    return reshape(concat(parts), (parts[0].shape[0], len(parts), -1))
-
-
 def forward_loss(
     params: Params,
     cfg: ModelConfig,
@@ -467,54 +456,29 @@ def forward_loss(
 ) -> LossParts:
     """Teacher-forced loss over a batch.
 
-    Everything but attention runs once over the whole target (see the
-    module docstring).  Coverage follows ``cfg.use_coverage`` alone; a
-    caller that trains one task with coverage and another without passes
-    each its own config.
+    One `decode_step` over the whole target.  Coverage follows
+    ``cfg.use_coverage`` alone; a caller that trains one task with coverage
+    and another without passes each its own config.
 
     Token negative log-likelihood and the coverage penalty are both averaged
     over each example's real decoder steps, then over the batch; the total
     is ``nll + cov_weight * coverage``.
     """
-    bsz, dec_len = batch.dec_in.shape
+    bsz = batch.size
     gold = batch.dec_out
     if not cfg.use_pointer:
         # Without a pointer the model can never emit extended ids: collapse
         # copied-OOV references back to the unknown token.
         gold = np.where(gold >= cfg.vocab_size, UNK_ID, gold)
-
-    enc = encode(params, cfg, batch.src_ids, batch.src_mask)
-    ctx = prepare_decoder(params, cfg, enc, batch.src_mask, batch.src_ext, batch.max_oov)
-    h1_0, c1_0, h2_0, c2_0 = ctx.init_state
-    hid = cfg.hidden
-    emb = gather(params["Emb"]["table"], batch.dec_in)                      # [B, T, d]
-    h1 = getitem(lstm(emb, *ctx.d1, h1_0, c1_0), (..., slice(None, hid)))
-    h2 = getitem(lstm(h1, *ctx.d2, h2_0, c2_0), (..., slice(None, hid)))  # [B, T, h]
-    query = attention_query(params["Attn"], h2)
-
-    coverage = ctx.fresh_coverage() if cfg.use_coverage else None
-    alphas: list[Tensor] = []
-    contexts: list[Tensor] = []
-    coverages: list[Tensor] = []  # the coverage each step starts from
-    for t in range(dec_len):
-        alpha, context = attention_step(
-            params["Attn"], getitem(query, (slice(None), t)), enc.states, coverage,
-            ctx.penalty, ctx.enc_feat,
-        )
-        alphas.append(alpha)
-        contexts.append(context)
-        if cfg.use_coverage:
-            coverages.append(coverage)
-            coverage = add(coverage, alpha)
-    alpha = _stack_steps(alphas)                                            # [B, T, S]
-    out = output_distributions(ctx, h2, _stack_steps(contexts), alpha, emb)
+    ctx = encode(params, cfg, batch)
+    out, _ = decode_step(ctx, ctx.init_state, batch.dec_in)
 
     # Each real step weighs 1 / (its example's real steps).
     weights = batch.dec_mask / batch.dec_mask.sum(axis=1, keepdims=True)
     weights = tensor(weights.astype(cfg.np_dtype))
     nll = scale(reduce_sum(multiply(step_nll(out.final_dist, gold), weights)), -1.0 / bsz)
     if cfg.use_coverage:
-        overlap = reduce_sum(minimum(alpha, _stack_steps(coverages)), axis=-1)  # [B, T]
+        overlap = reduce_sum(minimum(out.alpha, out.coverage), axis=-1)  # [B, T]
         cov = scale(reduce_sum(multiply(overlap, weights)), 1.0 / bsz)
         total = add(nll, scale(cov, cov_weight))
     else:

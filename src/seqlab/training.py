@@ -37,7 +37,6 @@ from .tensor import Tensor, backward, no_grad
 
 __all__ = [
     "TrainConfig",
-    "LossBreakdown",
     "TrainTask",
     "RunResult",
     "mixing_scheduler",
@@ -116,16 +115,6 @@ class TrainConfig:
                 raise ContractError(f"{field_name} must be >= 1")
         if self.lr <= 0 or self.coverage_lr <= 0:
             raise ContractError("learning rates must be positive")
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """One training step's loss, split into its three ingredients."""
-
-    nll: float
-    l_cov: float
-    soft_penalty: float
-    total: float
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +536,6 @@ def train(
                 grads, grad_norm = clip_gradients(grads, tconf.clip_norm)
                 adam_step(wrt, grads, adam[task], lr)
 
-                breakdown = LossBreakdown(
-                    nll=float(parts.nll.values),
-                    l_cov=float(parts.coverage.values) if parts.coverage is not None else 0.0,
-                    soft_penalty=penalty_value,
-                    total=total_value,
-                )
                 _log(
                     log,
                     kind="train",
@@ -560,7 +543,10 @@ def train(
                     task=task,
                     lr=lr,
                     grad_norm=grad_norm,
-                    **asdict(breakdown),
+                    nll=float(parts.nll.values),
+                    l_cov=float(parts.coverage.values) if parts.coverage is not None else 0.0,
+                    soft_penalty=penalty_value,
+                    total=total_value,
                 )
 
                 if step % tconf.val_every == 0:

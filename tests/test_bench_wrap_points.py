@@ -7,6 +7,7 @@ benchmark metrics.  This test turns such a rename into a failure that names
 the metrics.
 """
 
+from collections import Counter
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -21,3 +22,24 @@ def test_every_per_layer_metric_has_a_wrap_point(monkeypatch):
             metric for metric, spans in tracer.NEEDS.items() if not installed.intersection(spans)
         )
     assert not missing, f"no wrap point installed for: {missing}"
+
+
+def test_traced_forward_loss_opens_a_span_for_every_lstm_layer(monkeypatch):
+    """The tracer names each `lstm_step` span by layer from its caller, so a
+    teacher-forced loss must reach every encoder and decoder layer through
+    `lstm_step`, inside `encode` and `decode_step`."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+    from conftest import tiny_batch, tiny_config
+    from seqlab import model
+    from seqlab.sharing import single_task_params
+
+    cfg = tiny_config(emb_dim=4)  # unlike the hidden width, so D1 and D2 differ
+    params = single_task_params(cfg, seed=1)
+    batch, _ = tiny_batch()
+    recorder = tracer.Tracer("x")
+    with tracer.traced(recorder, cfg.emb_dim):
+        model.forward_loss(params.groups, cfg, batch)
+    layers = Counter(s.name for s in recorder.spans if s.name.startswith("model.fwd.")
+                     and s.name[-2:] in ("E1", "E2", "D1", "D2"))
+    assert layers == {"model.fwd.E1": 2, "model.fwd.E2": 2, "model.fwd.D1": 1, "model.fwd.D2": 1}

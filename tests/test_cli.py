@@ -360,6 +360,22 @@ class TestDecodeCommand:
         rc = main(["decode", "--checkpoint", str(bad), "--input", str(src)])
         assert rc == EXIT_CHECKPOINT
 
+    def test_truncated_checkpoint_exits_3(self, tmp_path, capsys):
+        mcfg = ModelConfig(vocab_size=VOCAB_SIZE, emb_dim=4, hidden=4)
+        registry = ParamRegistry(mcfg, SharingPlan.solo(), seed=0)
+        ck = tmp_path / "cut.npz"
+        save_checkpoint(
+            ck, step=0, tasks={"a": registry.add_task("a")}, config={"model": asdict(mcfg)},
+            coverage=[], vocabs={"a": SPEC.vocab()},
+        )
+        data = ck.read_bytes()
+        ck.write_bytes(data[: len(data) // 2])
+        src = tmp_path / "in.jsonl"
+        src.write_text('{"source": "w00"}\n')
+        rc = main(["decode", "--checkpoint", str(ck), "--input", str(src)])
+        assert rc == EXIT_CHECKPOINT
+        assert "checkpoint error" in capsys.readouterr().err
+
     def test_version_mismatch_exits_3(self, tmp_path, capsys):
         future = tmp_path / "future.npz"
         with open(future, "wb") as fh:

@@ -29,7 +29,7 @@ from seqlab.decoding import (
     score_sequence,
 )
 from seqlab.errors import ContractError
-from seqlab.model import decode_step, encode, prepare_decoder
+from seqlab.model import decode_step, encode
 from seqlab.sharing import single_task_params
 from seqlab.tensor import no_grad, tensor
 
@@ -60,15 +60,12 @@ def argmax_decode(params, cfg, example, max_len, min_len=0):
     """Reference greedy decoding: the most probable admissible token at each
     step (lowest id on ties) until the end token or a step with no mass."""
     with no_grad():
-        batch = make_batch([example], dtype=cfg.np_dtype)
-        enc = encode(params, cfg, batch.src_ids, batch.src_mask)
-        ctx = prepare_decoder(params, cfg, enc, batch.src_mask, batch.src_ext, batch.max_oov)
+        ctx = encode(params, cfg, make_batch([example], dtype=cfg.np_dtype))
         state = ctx.init_state
-        coverage = ctx.fresh_coverage() if cfg.use_coverage else None
         prev, ids = START_ID, []
         for t in range(max_len):
-            out, state = decode_step(ctx, state, np.array([prev]), coverage)
-            probs = out.final_dist.values[0].copy()
+            out, state = decode_step(ctx, state, np.array([[prev]]))
+            probs = out.final_dist.values[0, 0].copy()
             probs[list(BANNED_IDS)] = 0.0
             if t < min_len:
                 probs[END_ID] = 0.0
@@ -76,8 +73,6 @@ def argmax_decode(params, cfg, example, max_len, min_len=0):
             if tok == END_ID or probs[tok] == 0.0:
                 break
             ids.append(tok)
-            if coverage is not None:
-                coverage = tensor(coverage.values + out.alpha.values)
             prev = tok if tok < cfg.vocab_size else UNK_ID
     return ids
 
@@ -178,8 +173,8 @@ class TestBeam:
         real = decoding.decode_step
         calls = []
 
-        def starved(ctx, state, ids, coverage):
-            out, new_state = real(ctx, state, ids, coverage)
+        def starved(ctx, state, ids):
+            out, new_state = real(ctx, state, ids)
             calls.append(len(ids))
             if len(calls) >= 2:
                 zeros = tensor(np.zeros_like(out.final_dist.values))
@@ -230,18 +225,14 @@ class TestBeam:
         hyp = beam_search(params, cfg, [ex], beam=2, max_len=5)[0][0]
         # replay the hypothesis and accumulate attention by hand
         with no_grad():
-            batch = make_batch([ex], dtype=cfg.np_dtype)
-            enc = encode(params, cfg, batch.src_ids, batch.src_mask)
-            ctx = prepare_decoder(params, cfg, enc, batch.src_mask, batch.src_ext, batch.max_oov)
+            ctx = encode(params, cfg, make_batch([ex], dtype=cfg.np_dtype))
             state = ctx.init_state
-            coverage = ctx.fresh_coverage()
-            total = np.zeros(enc.src_len)
+            total = np.zeros(len(ex.src_ids))
             prev = START_ID
             targets = list(hyp.tokens) + ([END_ID] if hyp.finished else [])
             for tok in targets:
-                out, state = decode_step(ctx, state, np.array([prev]), coverage)
-                total += out.alpha.values[0]
-                coverage = tensor(coverage.values + out.alpha.values)
+                out, state = decode_step(ctx, state, np.array([[prev]]))
+                total += out.alpha.values[0, 0]
                 prev = tok if tok < cfg.vocab_size else UNK_ID
         np.testing.assert_allclose(hyp.coverage, total, atol=1e-12)
 

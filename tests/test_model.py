@@ -74,31 +74,22 @@ class TestConfigAndShapes:
         assert shapes["D1"]["init_h_w"] == (2 * h, h)
 
 
-def run_steps(cfg, params, batch, n_steps=None, use_coverage=True):
-    """Drive decode_step by hand, returning per-step outputs and coverages."""
-    from seqlab.model import prepare_decoder
-    from seqlab.tensor import add
-
-    enc = encode(params.groups, cfg, batch.src_ids, batch.src_mask)
-    ctx = prepare_decoder(params.groups, cfg, enc, batch.src_mask, batch.src_ext, batch.max_oov)
+def run_steps(cfg, params, batch, n_steps=None):
+    """Drive decode_step by hand, one step per call; returns each step's
+    outputs, [B, 1, ...]."""
+    ctx = encode(params.groups, cfg, batch)
     state = ctx.init_state
-    coverage = ctx.fresh_coverage() if use_coverage else None
-    outs, covs = [], []
-    steps = n_steps or batch.dec_in.shape[1]
-    for t in range(steps):
-        covs.append(None if coverage is None else coverage.values.copy())
-        out, state = decode_step(ctx, state, batch.dec_in[:, t], coverage)
-        if coverage is not None:
-            coverage = add(coverage, out.alpha)
+    outs = []
+    for t in range(n_steps or batch.dec_in.shape[1]):
+        out, state = decode_step(ctx, state, batch.dec_in[:, t : t + 1])
         outs.append(out)
-    return outs, covs
+    return outs
 
 
 class TestDistributionInvariants:
     def test_all_sum_to_one_and_nonnegative(self, tiny_setup):
         cfg, params, batch, _ = tiny_setup
-        outs, _ = run_steps(cfg, params, batch)
-        for out in outs:
+        for out in run_steps(cfg, params, batch):
             for dist in (out.alpha, out.vocab_dist, out.final_dist):
                 v = dist.values
                 assert (v >= 0).all()
@@ -106,16 +97,14 @@ class TestDistributionInvariants:
 
     def test_masked_positions_exactly_zero(self, tiny_setup):
         cfg, params, batch, _ = tiny_setup
-        outs, _ = run_steps(cfg, params, batch)
         pad = batch.src_mask == 0
         assert pad.any(), "fixture should include padding"
-        for out in outs:
-            assert (out.alpha.values[pad] == 0.0).all()
+        for out in run_steps(cfg, params, batch):
+            assert (out.alpha.values[:, 0][pad] == 0.0).all()
 
     def test_p_gen_strictly_inside_unit_interval(self, tiny_setup):
         cfg, params, batch, _ = tiny_setup
-        outs, _ = run_steps(cfg, params, batch)
-        for out in outs:
+        for out in run_steps(cfg, params, batch):
             assert (out.p_gen.values > 0).all() and (out.p_gen.values < 1).all()
 
     def test_final_distribution_mixes_by_gate(self):
@@ -141,17 +130,16 @@ class TestDistributionInvariants:
 class TestCoverage:
     def test_coverage_is_running_attention_sum(self, tiny_setup):
         cfg, params, batch, _ = tiny_setup
-        outs, covs = run_steps(cfg, params, batch)
         # coverage before step t equals the exact sum of earlier attentions
         acc = np.zeros_like(batch.src_mask)
-        for out, cov in zip(outs, covs):
-            np.testing.assert_array_equal(cov, acc)
-            acc = acc + out.alpha.values
+        for out in run_steps(cfg, params, batch):
+            np.testing.assert_array_equal(out.coverage.values[:, 0], acc)
+            acc = acc + out.alpha.values[:, 0]
 
     def test_step_zero_coverage_term_is_exactly_zero(self, tiny_setup):
         cfg, params, batch, _ = tiny_setup
-        outs, covs = run_steps(cfg, params, batch, n_steps=1)
-        overlap = minimum(outs[0].alpha, tensor(covs[0]))
+        (out,) = run_steps(cfg, params, batch, n_steps=1)
+        overlap = minimum(out.alpha, out.coverage)
         assert reduce_sum(overlap).item() == 0.0
 
     def test_overlap_term_value(self):
@@ -244,17 +232,14 @@ class TestEncoderContracts:
         mask = batch.src_mask.copy()
         mask[0] = 0.0
         with pytest.raises(ContractError, match="real token"):
-            encode(params.groups, cfg, batch.src_ids, mask)
+            encode(params.groups, cfg, dataclasses.replace(batch, src_mask=mask))
 
     def test_decode_step_rejects_extended_input_ids(self, tiny_setup):
-        from seqlab.model import prepare_decoder
-
         cfg, params, batch, _ = tiny_setup
-        enc = encode(params.groups, cfg, batch.src_ids, batch.src_mask)
-        ctx = prepare_decoder(params.groups, cfg, enc, batch.src_mask, batch.src_ext, batch.max_oov)
-        bad = np.full(batch.size, cfg.vocab_size, dtype=np.int64)
+        ctx = encode(params.groups, cfg, batch)
+        bad = np.full((batch.size, 1), cfg.vocab_size, dtype=np.int64)
         with pytest.raises(ContractError, match="in-vocabulary"):
-            decode_step(ctx, ctx.init_state, bad, None)
+            decode_step(ctx, ctx.init_state, bad)
 
     def test_final_encoder_state_ignores_padding(self):
         # A row padded by 3 ends in the same decoder start state as the
@@ -264,22 +249,19 @@ class TestEncoderContracts:
         vocab = TINY_SPEC.vocab()
         ex = encode_example(Example(("w04", "w05"), ("w04",)), vocab)
         a = make_batch([ex])
-        enc_a = encode(params.groups, cfg, a.src_ids, a.src_mask)
-        ids = np.pad(a.src_ids, ((0, 0), (0, 3)))
-        mask = np.pad(a.src_mask, ((0, 0), (0, 3)))
-        enc_b = encode(params.groups, cfg, ids, mask)
-        for (ha, ca), (hb, cb) in [(enc_a.init1, enc_b.init1), (enc_a.init2, enc_b.init2)]:
-            np.testing.assert_allclose(ha.values, hb.values, atol=1e-12)
-            np.testing.assert_allclose(ca.values, cb.values, atol=1e-12)
+        pad = {k: np.pad(getattr(a, k), ((0, 0), (0, 3))) for k in ("src_ids", "src_ext", "src_mask")}
+        start_a = encode(params.groups, cfg, a).init_state
+        start_b = encode(params.groups, cfg, dataclasses.replace(a, **pad)).init_state
+        for x, y in zip(start_a[:4], start_b[:4]):  # h1, c1, h2, c2
+            np.testing.assert_allclose(x.values, y.values, atol=1e-12)
 
 
 class TestAttention:
     def test_attention_without_coverage_feature(self, tiny_setup):
         cfg, params, batch, _ = tiny_setup
-        enc = encode(params.groups, cfg, batch.src_ids, batch.src_mask)
+        enc = encode(params.groups, cfg, batch)
         pen = mask_penalty(batch.src_mask)
-        state = enc.init2[0]
-        query = attention_query(params.groups["Attn"], state)
+        query = attention_query(params.groups["Attn"], enc.init_state[2])
         alpha, ctx = attention_step(params.groups["Attn"], query, enc.states, None, pen)
         assert alpha.shape == batch.src_ids.shape
         assert ctx.shape == (batch.size, 2 * cfg.hidden)
@@ -287,10 +269,9 @@ class TestAttention:
 
     def test_coverage_feature_shifts_attention(self, tiny_setup):
         cfg, params, batch, _ = tiny_setup
-        enc = encode(params.groups, cfg, batch.src_ids, batch.src_mask)
+        enc = encode(params.groups, cfg, batch)
         pen = mask_penalty(batch.src_mask)
-        state = enc.init2[0]
-        query = attention_query(params.groups["Attn"], state)
+        query = attention_query(params.groups["Attn"], enc.init_state[2])
         base, _ = attention_step(params.groups["Attn"], query, enc.states, None, pen)
         # uneven coverage: softmax cancels a uniform feature, so load one side
         lopsided = np.zeros_like(batch.src_mask)
@@ -302,35 +283,34 @@ class TestAttention:
 
 
 def stepwise_loss(params, cfg, batch, cov_weight=1.0):
-    """The oracle for `forward_loss`: the teacher-forced loss built one
-    `decode_step` at a time, each step's terms masked and summed in order.
+    """The oracle for `forward_loss`: the teacher-forced loss built from one
+    `decode_step` call per target step, each step's terms masked and summed
+    in order.  The coverage term reads a running sum of the steps' attention
+    kept here, not the decoder's own coverage.
 
-    Returns (nll, coverage, total, the StepOutput of every step).
+    Returns (nll, coverage, total, the StepOutput of every step, [B, 1, ...]).
     """
-    from seqlab.model import prepare_decoder
-
     dt = cfg.np_dtype
     bsz, dec_len = batch.dec_in.shape
     gold = batch.dec_out
     if not cfg.use_pointer:
         gold = np.where(gold >= cfg.vocab_size, UNK_ID, gold)
-    enc = encode(params, cfg, batch.src_ids, batch.src_mask)
-    ctx = prepare_decoder(params, cfg, enc, batch.src_mask, batch.src_ext, batch.max_oov)
+    ctx = encode(params, cfg, batch)
     state = ctx.init_state
-    coverage = ctx.fresh_coverage() if cfg.use_coverage else None
+    coverage = tensor(np.zeros((bsz, 1, batch.src_ids.shape[1]), dtype=dt))
     nll_acc = cov_acc = None
     outs = []
     for t in range(dec_len):
-        out, state = decode_step(ctx, state, batch.dec_in[:, t], coverage)
-        mask = tensor(batch.dec_mask[:, t].astype(dt))
-        logp = multiply(step_nll(out.final_dist, gold[:, t]), mask)
+        out, state = decode_step(ctx, state, batch.dec_in[:, t : t + 1])
+        mask = tensor(batch.dec_mask[:, t : t + 1].astype(dt))
+        logp = multiply(step_nll(out.final_dist, gold[:, t : t + 1]), mask)
         nll_acc = logp if nll_acc is None else add(nll_acc, logp)
-        if coverage is not None:
+        if cfg.use_coverage:
             overlap = multiply(reduce_sum(minimum(out.alpha, coverage), axis=-1), mask)
             cov_acc = overlap if cov_acc is None else add(cov_acc, overlap)
             coverage = add(coverage, out.alpha)
         outs.append(out)
-    inv_steps = tensor((1.0 / batch.dec_mask.sum(axis=1)).astype(dt))
+    inv_steps = tensor((1.0 / batch.dec_mask.sum(axis=1, keepdims=True)).astype(dt))
     nll = scale(reduce_sum(multiply(nll_acc, inv_steps)), -1.0 / bsz)
     if cov_acc is None:
         return nll, None, nll, outs
@@ -356,6 +336,7 @@ def close(got, want, tol):
     return np.abs(got - want).max() <= tol * np.abs(want).max()
 
 
+STEP_FIELDS = ("alpha", "context", "vocab_dist", "final_dist", "p_gen", "coverage")
 SWITCHES = [(True, True), (True, False), (False, True), (False, False)]
 SWITCH_IDS = ["pointer-coverage", "pointer-nocoverage", "nopointer-coverage", "nopointer-nocoverage"]
 
@@ -416,14 +397,38 @@ class TestWholeTargetLoss:
         got = forward_loss(params.groups, cfg, batch).outputs
         assert (got.p_gen is None) == (not use_pointer)
         assert len(want) == batch.dec_in.shape[1]
+        assert (got.coverage is None) == (not use_coverage)
         for t, w in enumerate(want):
-            for name in ("alpha", "context", "vocab_dist", "final_dist", "p_gen"):
+            for name in STEP_FIELDS:
                 gv, wv = getattr(got, name), getattr(w, name)
                 assert (gv is None) == (wv is None), name
                 if wv is not None:
-                    step = gv.values[:, t]
+                    step = gv.values[:, t : t + 1]
                     assert step.shape == wv.shape, name
                     assert close(step, wv.values, 1e-12), name
+
+    def test_one_call_matches_one_step_calls(self, use_pointer, use_coverage):
+        """`decode_step` over T steps equals T calls of one step each: every
+        output and the final state, coverage included."""
+        cfg, params, batch = self.inputs(use_pointer, use_coverage, "float64")
+        ctx = encode(params.groups, cfg, batch)
+        got, got_state = decode_step(ctx, ctx.init_state, batch.dec_in)
+        state, steps = ctx.init_state, []
+        for t in range(batch.dec_in.shape[1]):
+            out, state = decode_step(ctx, state, batch.dec_in[:, t : t + 1])
+            steps.append(out)
+        for name in STEP_FIELDS:
+            gv = getattr(got, name)
+            if name == "p_gen" and not use_pointer or name == "coverage" and not use_coverage:
+                assert gv is None and all(getattr(w, name) is None for w in steps), name
+                continue
+            want = np.concatenate([getattr(w, name).values for w in steps], axis=1)
+            assert gv.shape == want.shape, name
+            assert close(gv.values, want, 1e-12), name
+        assert (got_state[4] is None) == (not use_coverage)
+        for g, w in zip(got_state, state):
+            if w is not None:
+                assert close(g.values, w.values, 1e-12)
 
     def test_only_attention_runs_per_step(self, use_pointer, use_coverage):
         """One more target step adds one attention step to the tape and

@@ -336,6 +336,12 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="cannot read"):
             load_checkpoint(path)
 
+    def test_single_array_file(self, tmp_path):
+        path = tmp_path / "one.npy"
+        np.save(path, np.arange(3))
+        with pytest.raises(CheckpointError, match="single array"):
+            load_checkpoint(path)
+
     def test_missing_version(self, tmp_path):
         path = tmp_path / "old.npz"
         np.savez(path, step=np.array(1))
@@ -393,6 +399,26 @@ class TestCheckpoint:
             tasks=np.array(json.dumps(["a"])),
         )
         with pytest.raises(CheckpointError, match="coverage"):
+            load_checkpoint(path)
+
+    def test_truncated_archive(self, tmp_path):
+        *_, path = small_setup(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(CheckpointError, match="cannot read"):
+            load_checkpoint(path)
+
+    def test_unreadable_config_echo(self, tmp_path):
+        path = tmp_path / "bad-config.npz"
+        np.savez(
+            path,
+            version=np.array(CHECKPOINT_VERSION),
+            step=np.array(1),
+            config=np.array("{not json"),
+            tasks=np.array(json.dumps([])),
+            coverage=np.array(json.dumps([])),
+        )
+        with pytest.raises(CheckpointError, match="cannot read"):
             load_checkpoint(path)
 
 
