@@ -7,6 +7,7 @@ import numpy as np
 
 from seqlab.tensor import (
     Tensor,
+    add,
     backward,
     gradient_check,
     matmul,
@@ -27,7 +28,7 @@ def main() -> None:
     x = tensor(rng.normal(size=(4, 2)))
     b = tensor(np.zeros((3, 1)))
 
-    hidden = tanh(matmul(w, x) + b)
+    hidden = tanh(add(matmul(w, x), b))
     gate = sigmoid(reduce_sum(hidden))
     loss = multiply(gate, gate)
     print(f"forward value: {float(loss.values):.6f}")
@@ -39,12 +40,12 @@ def main() -> None:
 
     # The same computation under no_grad() records nothing.
     with no_grad():
-        silent = multiply(sigmoid(reduce_sum(tanh(matmul(w, x) + b))), gate)
+        silent = multiply(sigmoid(reduce_sum(tanh(add(matmul(w, x), b)))), gate)
     print(f"no_grad forward matches: {np.allclose(silent.values, loss.values)}")
 
     # Central finite differences audit the whole graph end to end.
     def build_loss(leaves: dict[str, Tensor]) -> Tensor:
-        h = tanh(matmul(leaves["w"], leaves["x"]) + leaves["b"])
+        h = tanh(add(matmul(leaves["w"], leaves["x"]), leaves["b"]))
         g = sigmoid(reduce_sum(h))
         return multiply(g, g)
 

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from seqlab.data import SynthSpec, batches_once, encode_example, ids_to_tokens, make_task_corpora
-from seqlab.decoding import greedy_decode_batch
+from seqlab.data import SynthSpec, encode_example, ids_to_tokens, make_task_corpora
+from seqlab.decoding import beam_search, greedy_decode
 from seqlab.metrics import repetition_rate
 from seqlab.model import ModelConfig
 from seqlab.sharing import ParamRegistry, SharingPlan
@@ -43,11 +43,8 @@ def fit(corpora, vocab, use_coverage: bool, run_dir: Path):
 
 
 def mean_repetition(params, cfg, held_out) -> float:
-    rates = []
-    for batch in batches_once(held_out, 64, dtype=cfg.np_dtype):
-        for ids in greedy_decode_batch(params, cfg, batch, max_len=20):
-            rates.append(repetition_rate([str(i) for i in ids], 2))
-    return float(np.mean(rates))
+    pools = beam_search(params, cfg, held_out, beam=1, max_len=20)
+    return float(np.mean([repetition_rate([str(i) for i in pool[0].tokens], 2) for pool in pools]))
 
 
 def main() -> None:
@@ -83,10 +80,7 @@ def main() -> None:
     print(f"\nsource:      {' '.join(example.example.source)}")
     print(f"reference:   {' '.join(example.example.target)}")
     for name, params, cfg in (("coverage", covered, cfg_c), ("no coverage", plain, cfg_n)):
-        ids = greedy_decode_batch(
-            params, cfg, next(iter(batches_once([example], 1, dtype=cfg.np_dtype))),
-            max_len=20,
-        )[0]
+        ids = greedy_decode(params, cfg, example, max_len=20)
         print(f"{name:>11}: {' '.join(ids_to_tokens(ids, vocab, example.oovs))}")
 
 

@@ -339,7 +339,7 @@ def _gradcheck_setup(seed: int, dtype: str):
     batch = Batch(
         src_ids=src, src_ext=src_ext, src_mask=src_mask,
         dec_in=tgt_in, dec_out=tgt_out, dec_mask=dec_mask,
-        max_oov=1, oovs=(("q",), ()), examples=(),
+        max_oov=1,
     )
 
     flat = checked.flat()

@@ -221,8 +221,6 @@ class Batch:
     dec_out: np.ndarray    # [B, S] int64 extended ids, ends with END_ID
     dec_mask: np.ndarray   # [B, S] float
     max_oov: int
-    oovs: tuple[tuple[str, ...], ...]
-    examples: tuple[EncodedExample, ...]
 
     @property
     def size(self) -> int:
@@ -262,8 +260,6 @@ def make_batch(examples: Sequence[EncodedExample], dtype=np.float64) -> Batch:
         dec_out=dec_out,
         dec_mask=dec_mask,
         max_oov=max(len(e.oovs) for e in examples),
-        oovs=tuple(e.oovs for e in examples),
-        examples=tuple(examples),
     )
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import END_ID, PAD_ID, START_ID, UNK_ID, EncodedExample, Batch, make_batch
+from .data import END_ID, PAD_ID, START_ID, UNK_ID, EncodedExample, make_batch
 from .errors import ContractError
 from .model import ModelConfig, Params, decode_step, encode
 from .tensor import Tensor, no_grad, tensor
@@ -25,7 +25,6 @@ __all__ = [
     "ROW_BUDGET",
     "Hypothesis",
     "greedy_decode",
-    "greedy_decode_batch",
     "beam_search",
     "score_sequence",
 ]
@@ -60,14 +59,6 @@ class Hypothesis:
     def score(self) -> float:
         """Length-normalized log-probability (sum over steps / steps)."""
         return self.logp / max(1, self.steps)
-
-
-def greedy_decode_batch(
-    params: Params, cfg: ModelConfig, batch: Batch, max_len: int, min_len: int = 0
-) -> list[list[int]]:
-    """Argmax decode of every row (beam width 1); ties pick the lowest token id."""
-    pools = beam_search(params, cfg, batch.examples, beam=1, max_len=max_len, min_len=min_len)
-    return [list(pool[0].tokens) for pool in pools]
 
 
 def greedy_decode(

@@ -21,8 +21,9 @@ Conventions that the rest of the package relies on:
 * ``softmax`` subtracts the running maximum before exponentiating, so large
   negative mask penalties underflow to exact zeros instead of producing NaN.
 
-Inside :func:`no_grad` the operators return plain leaves and skip building
-adjoint closures entirely; the finite-difference probe loop leans on that.
+Every op returns through ``_record``, the one place a tape node is built.
+Inside :func:`no_grad` it drops the op's adjoint closure and returns a plain
+leaf, so the finite-difference probe loop builds no graph.
 """
 
 from __future__ import annotations
@@ -83,28 +84,6 @@ class Tensor:
         tag = self.op or "leaf"
         return f"Tensor({tag}, shape={self.shape}, dtype={self.dtype})"
 
-    # Operator sugar.  Scalars multiply through `scale`; everything else
-    # requires an explicit Tensor so shapes stay visible at call sites.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return subtract(self, other)
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return multiply(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other) -> "Tensor":
-        return scale(self, float(other))
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
-
 
 @dataclass(frozen=True)
 class TieEvent:
@@ -151,6 +130,15 @@ def record_ties():
         _tie_log = prev
 
 
+def _record(
+    out: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp: Callable[[np.ndarray], tuple]
+) -> Tensor:
+    """The one place a tape node is built: under `no_grad`, a plain leaf."""
+    if not _grad_enabled:
+        return Tensor(out)
+    return Tensor(out, op=op, parents=parents, vjp=vjp)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
     if grad.shape == shape:
@@ -176,13 +164,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         out = a.values + b.values
     except ValueError:
         raise DimensionError("add", a.shape, b.shape) from None
-    if not _grad_enabled:
-        return Tensor(out)
 
     def vjp(g):
         return _unbroadcast(g, a.values.shape), _unbroadcast(g, b.values.shape)
 
-    return Tensor(out, op="add", parents=(a, b), vjp=vjp)
+    return _record(out, "add", (a, b), vjp)
 
 
 def subtract(a: Tensor, b: Tensor) -> Tensor:
@@ -190,13 +176,11 @@ def subtract(a: Tensor, b: Tensor) -> Tensor:
         out = a.values - b.values
     except ValueError:
         raise DimensionError("subtract", a.shape, b.shape) from None
-    if not _grad_enabled:
-        return Tensor(out)
 
     def vjp(g):
         return _unbroadcast(g, a.values.shape), _unbroadcast(-g, b.values.shape)
 
-    return Tensor(out, op="subtract", parents=(a, b), vjp=vjp)
+    return _record(out, "subtract", (a, b), vjp)
 
 
 def multiply(a: Tensor, b: Tensor) -> Tensor:
@@ -205,25 +189,21 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
         out = av * bv
     except ValueError:
         raise DimensionError("multiply", a.shape, b.shape) from None
-    if not _grad_enabled:
-        return Tensor(out)
 
     def vjp(g):
         return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
 
-    return Tensor(out, op="multiply", parents=(a, b), vjp=vjp)
+    return _record(out, "multiply", (a, b), vjp)
 
 
 def scale(a: Tensor, scalar: float) -> Tensor:
     s = float(scalar)
     out = a.values * s
-    if not _grad_enabled:
-        return Tensor(out)
 
     def vjp(g):
         return (g * s,)
 
-    return Tensor(out, op="scale", parents=(a,), vjp=vjp)
+    return _record(out, "scale", (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +223,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             out = np.matmul(av, bv)
     except ValueError:
         raise DimensionError("matmul", a.shape, b.shape) from None
-    if not _grad_enabled:
-        return Tensor(out)
 
     def vjp(g):
         if rows:
@@ -264,7 +242,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         db = _unbroadcast(db, b2.shape).reshape(bv.shape)
         return da, db
 
-    return Tensor(out, op="matmul", parents=(a, b), vjp=vjp)
+    return _record(out, "matmul", (a, b), vjp)
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
@@ -275,14 +253,13 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
         out = np.concatenate([p.values for p in parts], axis=-1)
     except ValueError:
         raise DimensionError("concat", *(p.shape for p in parts)) from None
-    if not _grad_enabled:
-        return Tensor(out)
-    splits = np.cumsum([p.values.shape[-1] for p in parts])[:-1]
+    parts = tuple(parts)
 
     def vjp(g):
+        splits = np.cumsum([p.values.shape[-1] for p in parts])[:-1]
         return tuple(np.split(g, splits, axis=-1))
 
-    return Tensor(out, op="concat", parents=tuple(parts), vjp=vjp)
+    return _record(out, "concat", parts, vjp)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -291,14 +268,11 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
         out = a.values.reshape(shape)  # numpy handles a single -1 wildcard
     except ValueError:
         raise DimensionError("reshape", a.shape, shape) from None
-    if not _grad_enabled:
-        return Tensor(out)
-    src_shape = a.values.shape
 
     def vjp(g):
-        return (g.reshape(src_shape),)
+        return (g.reshape(a.values.shape),)
 
-    return Tensor(out, op="reshape", parents=(a,), vjp=vjp)
+    return _record(out, "reshape", (a,), vjp)
 
 
 def getitem(a: Tensor, key) -> Tensor:
@@ -312,16 +286,13 @@ def getitem(a: Tensor, key) -> Tensor:
         out = a.values[key]
     except IndexError:
         raise DimensionError("getitem", a.shape) from None
-    if not _grad_enabled:
-        return Tensor(out)
-    src_shape = a.values.shape
 
     def vjp(g):
-        da = np.zeros(src_shape, dtype=g.dtype)
+        da = np.zeros(a.values.shape, dtype=g.dtype)
         da[key] = g
         return (da,)
 
-    return Tensor(out, op="getitem", parents=(a,), vjp=vjp)
+    return _record(out, "getitem", (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -333,24 +304,20 @@ def sigmoid(a: Tensor) -> Tensor:
     # exp of a non-positive number never overflows, so branch on the sign.
     ex = np.exp(-np.abs(x))
     out = np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
-    if not _grad_enabled:
-        return Tensor(out)
 
     def vjp(g):
         return (g * out * (1.0 - out),)
 
-    return Tensor(out, op="sigmoid", parents=(a,), vjp=vjp)
+    return _record(out, "sigmoid", (a,), vjp)
 
 
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.values)
-    if not _grad_enabled:
-        return Tensor(out)
 
     def vjp(g):
         return (g * (1.0 - out * out),)
 
-    return Tensor(out, op="tanh", parents=(a,), vjp=vjp)
+    return _record(out, "tanh", (a,), vjp)
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -360,14 +327,12 @@ def softmax(a: Tensor) -> Tensor:
         raise DimensionError("softmax", x.shape)
     ex = np.exp(x - x.max(axis=-1, keepdims=True))
     out = ex / ex.sum(axis=-1, keepdims=True)
-    if not _grad_enabled:
-        return Tensor(out)
 
     def vjp(g):
         inner = (g * out).sum(axis=-1, keepdims=True)
         return ((g - inner) * out,)
 
-    return Tensor(out, op="softmax", parents=(a,), vjp=vjp)
+    return _record(out, "softmax", (a,), vjp)
 
 
 def log(a: Tensor) -> Tensor:
@@ -375,14 +340,11 @@ def log(a: Tensor) -> Tensor:
     x = a.values
     clamped = np.maximum(x, LOG_FLOOR)
     out = np.log(clamped)
-    if not _grad_enabled:
-        return Tensor(out)
-    above = x >= LOG_FLOOR
 
     def vjp(g):
-        return (np.where(above, g / clamped, 0.0),)
+        return (np.where(x >= LOG_FLOOR, g / clamped, 0.0),)
 
-    return Tensor(out, op="log", parents=(a,), vjp=vjp)
+    return _record(out, "log", (a,), vjp)
 
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:
@@ -393,9 +355,7 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise DimensionError("minimum", a.shape, b.shape) from None
     out = np.where(take_a, av, bv)
-    if not _grad_enabled:
-        return Tensor(out)
-    if _tie_log is not None:
+    if _grad_enabled and _tie_log is not None:
         tied = av == bv
         if np.any(tied):
             _tie_log.append(TieEvent(a, b, np.broadcast_to(tied, out.shape).copy()))
@@ -406,7 +366,7 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
             _unbroadcast(np.where(take_a, 0.0, g), bv.shape),
         )
 
-    return Tensor(out, op="minimum", parents=(a, b), vjp=vjp)
+    return _record(out, "minimum", (a, b), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +375,13 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
 
 def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
     out = np.asarray(a.values.sum(axis=axis))
-    if not _grad_enabled:
-        return Tensor(out)
-    shape = a.values.shape
 
     def vjp(g):
         if axis is None:
-            return (np.broadcast_to(g, shape),)
-        return (np.broadcast_to(np.expand_dims(g, axis), shape),)
+            return (np.broadcast_to(g, a.values.shape),)
+        return (np.broadcast_to(np.expand_dims(g, axis), a.values.shape),)
 
-    return Tensor(out, op="reduce_sum", parents=(a,), vjp=vjp)
+    return _record(out, "reduce_sum", (a,), vjp)
 
 
 def gather(a: Tensor, indices) -> Tensor:
@@ -439,16 +396,13 @@ def gather(a: Tensor, indices) -> Tensor:
             f"(saw min {idx.min()}, max {idx.max()})"
         )
     out = a.values[idx]
-    if not _grad_enabled:
-        return Tensor(out)
-    src_shape = a.values.shape
 
     def vjp(g):
-        da = np.zeros(src_shape, dtype=g.dtype)
+        da = np.zeros(a.values.shape, dtype=g.dtype)
         np.add.at(da, idx, g)
         return (da,)
 
-    return Tensor(out, op="gather", parents=(a,), vjp=vjp)
+    return _record(out, "gather", (a,), vjp)
 
 
 def scatter_add(a: Tensor, indices, size: int) -> Tensor:
@@ -474,16 +428,13 @@ def scatter_add(a: Tensor, indices, size: int) -> Tensor:
     out = np.zeros((flat.shape[0], size), dtype=a.values.dtype)
     np.add.at(out, (rows, flat_idx), flat)
     out = out.reshape(a.values.shape[:-1] + (size,))
-    if not _grad_enabled:
-        return Tensor(out)
-    src_shape = a.values.shape
 
     def vjp(g):
         g_flat = g.reshape(-1, size)
         da = np.take_along_axis(g_flat, flat_idx, axis=1)
-        return (da.reshape(src_shape),)
+        return (da.reshape(a.values.shape),)
 
-    return Tensor(out, op="scatter_add", parents=(a,), vjp=vjp)
+    return _record(out, "scatter_add", (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +514,6 @@ def lstm(
             np.copyto(h_new, h, where=hold[:, t, None])
             np.copyto(c_new, c, where=hold[:, t, None])
         h, c = h_new, c_new
-    if not _grad_enabled:
-        return Tensor(out)
 
     def vjp(g):
         gates = acts.reshape(bsz, steps, 4, hid)
@@ -612,7 +561,7 @@ def lstm(
         du = h_in.reshape(rows, hid).T @ dz2
         return dx, dw, du, dz2.sum(axis=0), dh, dc
 
-    return Tensor(out, op="lstm", parents=(x, w, u, b, h0, c0), vjp=vjp)
+    return _record(out, "lstm", (x, w, u, b, h0, c0), vjp)
 
 
 # ---------------------------------------------------------------------------

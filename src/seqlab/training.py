@@ -96,11 +96,7 @@ class TrainConfig:
             raise ContractError(
                 f"warm_fraction must be in (0, 1], got {self.warm_fraction}"
             )
-        if not self.ratios or min(self.ratios) < 0 or max(self.ratios) == 0:
-            raise ContractError(
-                f"mixing ratios must be nonnegative with at least one positive, "
-                f"got {self.ratios}"
-            )
+        _check_ratios(self.ratios)
         if self.cov_weight < 0:
             raise ContractError(f"coverage weight must be >= 0, got {self.cov_weight}")
         if self.clip_norm <= 0:
@@ -121,6 +117,15 @@ class TrainConfig:
 # Scheduler
 
 
+def _check_ratios(ratios: Sequence[int]) -> None:
+    integers = all(isinstance(r, int) and not isinstance(r, bool) for r in ratios)
+    if not ratios or not integers or min(ratios) < 0 or max(ratios) == 0:
+        raise ContractError(
+            f"mixing ratios must be nonnegative integers with at least one positive, "
+            f"got {tuple(ratios)}"
+        )
+
+
 def mixing_scheduler(
     ratios: Sequence[int], tasks: Sequence[str] | None = None
 ) -> Iterator:
@@ -128,9 +133,7 @@ def mixing_scheduler(
     (s, q, e) yield s,s,s,s,q,q,q,e,e,e and repeat.  A zero ratio drops
     its task from the cycle entirely.
     """
-    ratios = tuple(int(r) for r in ratios)
-    if not ratios or min(ratios) < 0 or max(ratios) == 0:
-        raise ContractError(f"invalid mixing ratios {ratios}")
+    _check_ratios(ratios)
     if tasks is not None and len(tasks) != len(ratios):
         raise ContractError(
             f"{len(ratios)} ratios for {len(tasks)} tasks"
@@ -643,10 +646,9 @@ def warm_start(baseline_run, fraction: float) -> Path:
     if not meta.get("best_step"):
         raise ContractError(f"baseline run {run_dir} recorded no validation losses")
     target = math.ceil(fraction * meta["best_step"])
-    candidates = sorted(
-        (int(p.stem.split("-")[1]), p)
-        for p in (run_dir / CHECKPOINT_DIR).glob("step-*.npz")
-    )
+    # Only the step-<digits>.npz names `train` writes; skip anything else.
+    found = ((p.stem[len("step-"):], p) for p in (run_dir / CHECKPOINT_DIR).glob("step-*.npz"))
+    candidates = sorted((int(s), p) for s, p in found if s.isascii() and s.isdigit())
     if not candidates:
         raise ContractError(f"{run_dir} has no checkpoints")
     if candidates[0][0] > target:

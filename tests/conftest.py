@@ -16,11 +16,14 @@ def tiny_config(**overrides) -> ModelConfig:
     return ModelConfig(**base)
 
 
-def tiny_batch(n=4, seed=0, spec=TINY_SPEC, with_oov=True):
+def tiny_examples(n=4, seed=0, spec=TINY_SPEC, with_oov=True):
     vocab = spec.vocab()
     rng = np.random.default_rng(seed)
-    enc = [encode_example(e, vocab) for e in gen_copy(rng, n, spec, with_oov=with_oov)]
-    return make_batch(enc), vocab
+    return [encode_example(e, vocab) for e in gen_copy(rng, n, spec, with_oov=with_oov)]
+
+
+def tiny_batch(n=4, seed=0, spec=TINY_SPEC, with_oov=True):
+    return make_batch(tiny_examples(n, seed, spec, with_oov)), spec.vocab()
 
 
 @pytest.fixture

@@ -20,12 +20,11 @@ from seqlab.data import (
     Example,
     SynthSpec,
     Vocab,
-    batches_once,
     encode_example,
     make_batch,
     make_task_corpora,
 )
-from seqlab.decoding import beam_search, greedy_decode_batch, score_sequence
+from seqlab.decoding import beam_search, score_sequence
 from seqlab.metrics import (
     lcs_length,
     lcs_length_bruteforce,
@@ -195,11 +194,8 @@ def _repetition_run(tmp_path, corp, vocab, seed, use_coverage, steps, test_enc):
     train(cfg, tconf, reg, [TrainTask("rw", corp, vocab)],
           tmp_path / f"rep-{seed}-{use_coverage}")
     params = reg.task("rw")
-    rates = []
-    for batch in batches_once(test_enc, 64, dtype=cfg.np_dtype):
-        for ids in greedy_decode_batch(params, cfg, batch, max_len=20):
-            rates.append(repetition_rate([str(i) for i in ids], 2))
-    return float(np.mean(rates))
+    pools = beam_search(params, cfg, test_enc, beam=1, max_len=20)
+    return float(np.mean([repetition_rate([str(i) for i in pool[0].tokens], 2) for pool in pools]))
 
 
 def test_criterion_4_coverage_effect(tmp_path):
@@ -249,7 +245,7 @@ def test_criterion_4_coverage_effect(tmp_path):
         dec_in=np.array([[2]]),                # start token only
         dec_out=ex.tgt_ext[None, :1],
         dec_mask=np.ones((1, 1)),
-        max_oov=0, oovs=((),), examples=(ex,),
+        max_oov=0,
     )
     parts = forward_loss(params, cfg, one_step, cov_weight=1.0)
     assert float(parts.coverage.values) == 0.0

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import TINY_SPEC, tiny_batch, tiny_config
+from conftest import TINY_SPEC, tiny_config, tiny_examples
 from seqlab import decoding
 from seqlab.data import (
     END_ID,
@@ -25,7 +25,6 @@ from seqlab.decoding import (
     Hypothesis,
     beam_search,
     greedy_decode,
-    greedy_decode_batch,
     score_sequence,
 )
 from seqlab.errors import ContractError
@@ -107,11 +106,11 @@ class TestGreedy:
 
     def test_batch_matches_single(self):
         cfg, params = fresh()
-        batch, _ = tiny_batch(n=4, seed=2)
-        batched = greedy_decode_batch(params, cfg, batch, max_len=8)
-        for i, enc_ex in enumerate(batch.examples):
+        examples = tiny_examples(n=4, seed=2)
+        batched = beam_search(params, cfg, examples, beam=1, max_len=8)
+        for pool, enc_ex in zip(batched, examples, strict=True):
             solo = greedy_decode(params, cfg, enc_ex, max_len=8)
-            assert batched[i] == solo
+            assert list(pool[0].tokens) == solo
 
     def test_padding_rows_do_not_change_output(self):
         # decoding one source alone and alongside a longer padded row agree
@@ -123,9 +122,9 @@ class TestGreedy:
             content_words=16, oov_pool=5, min_len=10, max_len=12
         )
         longer = encode_example(gen_copy(rng, 1, longer_spec)[0], spec.vocab())
-        alone = greedy_decode_batch(params, cfg, make_batch([short]), max_len=8)[0]
-        padded = greedy_decode_batch(params, cfg, make_batch([short, longer]), max_len=8)[0]
-        assert alone == padded
+        alone = beam_search(params, cfg, [short], beam=1, max_len=8)[0]
+        padded = beam_search(params, cfg, [short, longer], beam=1, max_len=8)[0]
+        assert alone[0].tokens == padded[0].tokens
 
     def test_min_len_validation(self):
         cfg, params = fresh()

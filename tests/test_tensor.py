@@ -1,12 +1,15 @@
 """Autodiff core: forward values, adjoints, and the gradient checker."""
 
+import inspect
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqlab import tensor as tensor_module
 from seqlab.errors import ContractError, DimensionError, NumericError
 from seqlab.tensor import (
     LOG_FLOOR,
@@ -18,6 +21,7 @@ from seqlab.tensor import (
     getitem,
     gradient_check,
     log,
+    lstm,
     matmul,
     minimum,
     multiply,
@@ -142,6 +146,45 @@ class TestShapeErrors:
             backward(add(x, x))
 
 
+# Every op that builds a tape node: its name -> a builder that, given a
+# source of random leaves, returns the op's Tensor inputs and a call on them.
+RECORDING_OPS = {
+    "add": lambda t: ((t(3, 4), t(4)), add),
+    "subtract": lambda t: ((t(3, 4), t(3, 1)), subtract),
+    "multiply": lambda t: ((t(3, 4), t(4)), multiply),
+    "scale": lambda t: ((t(3, 4),), lambda a: scale(a, -2.5)),
+    "matmul": lambda t: ((t(2, 3, 4), t(4, 5)), matmul),
+    "concat": lambda t: ((t(3, 2), t(3, 4), t(3, 1)), lambda *parts: concat(parts)),
+    "reshape": lambda t: ((t(3, 4),), lambda a: reshape(a, (2, -1))),
+    "getitem": lambda t: ((t(3, 4),), lambda a: getitem(a, (slice(1, None), 2))),
+    "sigmoid": lambda t: ((t(3, 4),), sigmoid),
+    "tanh": lambda t: ((t(3, 4),), tanh),
+    "softmax": lambda t: ((t(3, 4),), softmax),
+    "log": lambda t: ((t(3, 4),), log),
+    "minimum": lambda t: ((t(3, 4), t(4)), minimum),
+    "reduce_sum": lambda t: ((t(3, 4),), lambda a: reduce_sum(a, axis=1)),
+    "gather": lambda t: ((t(5, 3),), lambda a: gather(a, np.array([4, 0, 4]))),
+    "scatter_add": lambda t: (
+        (t(2, 4),),
+        lambda a: scatter_add(a, np.array([[0, 2, 2, 1], [3, 3, 0, 1]]), 5),
+    ),
+    "lstm": lambda t: (
+        (t(2, 3, 4), t(4, 12), t(3, 12), t(12), t(2, 3), t(2, 3)),
+        lambda *args: lstm(*args, keep=np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])),
+    ),
+}
+
+
+def random_leaves(seed=11):
+    rng = np.random.default_rng(seed)
+    return lambda *shape: tensor(rng.uniform(0.1, 2.0, size=shape))
+
+
+def test_recording_ops_cover_every_op():
+    recorded = re.findall(r'_record\(out, "(\w+)"', inspect.getsource(tensor_module))
+    assert sorted(recorded) == sorted(RECORDING_OPS)
+
+
 class TestBackwardBasics:
     def test_sum_gradient_is_ones(self):
         x = tensor(np.arange(6.0).reshape(2, 3))
@@ -218,11 +261,19 @@ class TestBackwardBasics:
         grads = backward(reduce_sum(add(x, bias)))
         np.testing.assert_array_equal(grads[bias], [4.0, 4.0, 4.0])
 
-    def test_no_grad_produces_leaves(self):
-        x = tensor([1.0, 2.0])
+    @pytest.mark.parametrize("name", sorted(RECORDING_OPS))
+    def test_no_grad_produces_leaves(self, name):
+        inputs, op = RECORDING_OPS[name](random_leaves())
+        recorded = op(*inputs)
+        assert recorded.op == name
+        assert len(recorded.parents) == len(inputs)
+        assert all(p is x for p, x in zip(recorded.parents, inputs))
         with no_grad():
-            y = add(x, x)
-        assert y.is_leaf and y.parents == ()
+            silent = op(*inputs)
+        assert silent.is_leaf and silent.parents == ()
+        assert silent.values.dtype == recorded.values.dtype
+        assert silent.values.shape == recorded.values.shape
+        assert silent.values.tobytes() == recorded.values.tobytes()
 
 
 class TestFiniteDifferences:

@@ -59,6 +59,14 @@ class TestTrainConfig:
         with pytest.raises(ContractError, match="ratio"):
             TrainConfig(ratios=ratios)
 
+    @pytest.mark.parametrize("ratios", [(0.5, 1), (True, 1), (1.0, 1)])
+    def test_non_integer_ratios(self, ratios):
+        # int(0.5) == 0 would silently drop the primary task from the cycle.
+        with pytest.raises(ContractError, match="integers"):
+            TrainConfig(ratios=ratios)
+        with pytest.raises(ContractError, match="integers"):
+            mixing_scheduler(ratios)
+
     def test_bad_scalars(self):
         with pytest.raises(ContractError, match="coverage weight"):
             TrainConfig(cov_weight=-0.1)
@@ -793,6 +801,13 @@ class TestWarmStart:
     def test_rounds_target_up(self, tmp_path):
         run = self.fake_run(tmp_path, 5, (4, 6))  # 0.9 * 5 = 4.5 -> target 5: tie
         assert warm_start(run, 0.9).name == "step-000004.npz"
+
+    def test_ignores_names_train_never_writes(self, tmp_path):
+        run = self.fake_run(tmp_path, 1000, range(100, 1300, 100))
+        expected = warm_start(run, 0.9)
+        for name in ("step-best.npz", "step-.npz", "step-0x10.npz"):
+            (run / "checkpoints" / name).write_bytes(b"not a checkpoint")
+        assert warm_start(run, 0.9) == expected
 
     def test_no_checkpoint_at_or_before_target(self, tmp_path):
         run = self.fake_run(tmp_path, 1000, (2000,))
