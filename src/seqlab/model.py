@@ -30,15 +30,17 @@ config a call receives, and nothing else.
 
 There is one decoder.  `encode` runs the encoder and returns the
 `DecodeContext` that the decoder reads, with its start state; every LSTM
-layer, encoder or decoder, goes through `lstm_step`.  `decode_step` runs
-any number of steps from a state.  The decoder LSTMs read only the previous
-token and the layer below, never the attention context, so ``D1``, ``D2``,
-the attention query, the output layers and the copy gate each run once over
-[B, T, ...].  Only attention steps one position at a time, because coverage
-feeds each step's attention into the next; the coverage travels in the
-decoder state, and `decode_step` is the one place that adds attention to
-it.  Teacher forcing (`forward_loss`) is one `decode_step` over the whole
-target; beam search and `score_sequence` call it one step at a time.
+layer, encoder or decoder, is one `lstm_step` call, and an encoder layer
+runs both its directions in that one call.  `decode_step` runs any number
+of steps from a state.  The decoder LSTMs read only the previous token and
+the layer below, never the attention context, so ``D1``, ``D2``, the
+attention query, attention itself, the output layers and the copy gate
+each run once over [B, T, ...].  Attention is one `attention` op for all T
+steps, called from `attention_step`: with coverage on, the op adds each
+step's attention to the coverage the next step reads, and `attention_step`
+returns the coverage after the last step, which travels on in the decoder
+state.  Teacher forcing (`forward_loss`) is one `decode_step` over the
+whole target; beam search and `score_sequence` call it one step at a time.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .errors import ContractError
 from .tensor import (
     Tensor,
     add,
+    attention,
     concat,
     gather,
     getitem,
@@ -62,13 +65,11 @@ from .tensor import (
     minimum,
     multiply,
     reduce_sum,
-    reshape,
     scale,
     scatter_add,
     sigmoid,
     softmax,
     subtract,
-    tanh,
     tensor,
 )
 
@@ -193,22 +194,31 @@ def lstm_step(
     h: Tensor,
     c: Tensor,
     keep: np.ndarray | None = None,
-    reverse: bool = False,
+    back: tuple[Tensor, Tensor, Tensor] | None = None,
 ) -> tuple[Tensor, Tensor, Tensor]:
     """One LSTM layer over every step of `x` [B, T, in] from (h, c).
 
     Returns (h after each step [B, T, h], final h, final c), where the final
-    state is the one after the last step run: step 0 when `reverse`.  Where
-    `keep` [B, T] is 0 the state is frozen (see `lstm`).
+    state is the one after the last step run.  Where `keep` [B, T] is 0 the
+    state is frozen (see `lstm`).  With `back`, the weights of a second cell
+    that runs from step T-1 down to 0, the layer is bidirectional: (h, c)
+    and every returned state are [..., 2h], the forward direction's half
+    first, and the backward direction's final state is the one after step 0.
     """
-    hid = h.shape[-1]
-    out = lstm(x, *weights, h, c, keep, reverse)
-    last = 0 if reverse else x.shape[1] - 1
-    return (
-        getitem(out, (..., slice(None, hid))),
-        getitem(out, (slice(None), last, slice(None, hid))),
-        getitem(out, (slice(None), last, slice(hid, None))),
-    )
+    width = h.shape[-1]
+    out = lstm(x, *weights, h, c, keep, back=back)
+    ends = (x.shape[1] - 1,) if back is None else (x.shape[1] - 1, 0)
+    hid = width // len(ends)
+
+    def final(first: int) -> Tensor:
+        """The state each direction ends in, from the column `first` of `out`."""
+        parts = [
+            getitem(out, (slice(None), end, slice(first + k * hid, first + (k + 1) * hid)))
+            for k, end in enumerate(ends)
+        ]
+        return parts[0] if back is None else concat(parts)
+
+    return getitem(out, (..., slice(None, width))), final(0), final(width)
 
 
 def _init_state(group: ParamGroup, enc_h: Tensor, enc_c: Tensor) -> tuple[Tensor, Tensor]:
@@ -225,34 +235,6 @@ def mask_penalty(src_mask: np.ndarray, dt=np.float64) -> Tensor:
 def attention_query(attn: ParamGroup, dec_state: Tensor) -> Tensor:
     """The decoder-state feature of additive attention, for any leading shape."""
     return add(matmul(dec_state, attn["dec_w"]), attn["bias"])
-
-
-def attention_step(
-    attn: ParamGroup,
-    query: Tensor,
-    enc_states: Tensor,
-    coverage: Tensor | None,
-    penalty: Tensor,
-    enc_feat: Tensor | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Additive attention with an optional coverage feature.
-
-    ``query`` [B, a] is `attention_query` of the decoder state.  Returns
-    (attention weights [B, T], context vector [B, 2h]).  Pass ``enc_feat``
-    (the projected encoder states) to amortize that product across decode
-    steps; ``coverage=None`` drops the coverage feature.
-    """
-    bsz, steps, _ = enc_states.shape
-    if enc_feat is None:
-        enc_feat = matmul(enc_states, attn["enc_w"])
-    feats = add(enc_feat, reshape(query, (bsz, 1, -1)))
-    if coverage is not None:
-        cov_feat = multiply(reshape(coverage, (bsz, steps, 1)), attn["cov_w"])
-        feats = add(feats, cov_feat)
-    scores = matmul(tanh(feats), attn["score_v"])      # [B, T]
-    alpha = softmax(add(scores, penalty))
-    context = reshape(matmul(reshape(alpha, (bsz, 1, steps)), enc_states), (bsz, -1))
-    return alpha, context
 
 
 def vocab_distribution(out: ParamGroup, dec_state: Tensor, context: Tensor) -> Tensor:
@@ -326,15 +308,14 @@ def encode(params: Params, cfg: ModelConfig, batch: Batch) -> DecodeContext:
     bsz, steps = src_ids.shape
     if steps < 1 or not (src_mask.sum(axis=1) >= 1).all():
         raise ContractError("encode: every row needs at least one real token")
-    zeros = tensor(np.zeros((bsz, cfg.hidden), dtype=cfg.np_dtype))
+    zeros = tensor(np.zeros((bsz, 2 * cfg.hidden), dtype=cfg.np_dtype))
 
     def layer(cell: ParamGroup, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
         """Both directions: outputs [B, S, 2h], final h and final c [B, 2h].
         Padded steps freeze the state, so each direction's final state
         belongs to its last (first, when reversed) real token."""
-        f, f_h, f_c = lstm_step(cell_weights(cell, "fwd"), x, zeros, zeros, src_mask)
-        b, b_h, b_c = lstm_step(cell_weights(cell, "bwd"), x, zeros, zeros, src_mask, reverse=True)
-        return concat([f, b]), concat([f_h, b_h]), concat([f_c, b_c])
+        fwd, bwd = cell_weights(cell, "fwd"), cell_weights(cell, "bwd")
+        return lstm_step(fwd, x, zeros, zeros, src_mask, back=bwd)
 
     layer1, h1, c1 = layer(params["E1"], gather(params["Emb"]["table"], src_ids))
     states, h2, c2 = layer(params["E2"], layer1)
@@ -365,9 +346,30 @@ class StepOutput:
     coverage: Tensor | None  # the coverage each step started from
 
 
-def _stack_steps(parts: list[Tensor]) -> Tensor:
-    """Per-step tensors [B, X] as one [B, T, X]."""
-    return reshape(concat(parts), (parts[0].shape[0], len(parts), -1))
+def attention_step(
+    ctx: DecodeContext, query: Tensor, coverage: Tensor | None
+) -> tuple[Tensor, Tensor, Tensor | None, Tensor | None]:
+    """Additive attention over the encoder states for every step of `query`.
+
+    ``query`` [B, T, a] is `attention_query` of the decoder states, and the
+    coverage starts from ``coverage`` [B, S], or is off when it is None.
+    Returns (attention weights [B, T, S], context vectors [B, T, 2h], the
+    coverage each step started from [B, T, S], the coverage after the last
+    step [B, S]); the last two are None when coverage is off.  All T steps
+    are one `attention` op.
+    """
+    attn = ctx.params["Attn"]
+    src, width = ctx.states.shape[1:]
+    out = attention(
+        ctx.enc_feat, query, ctx.states, attn["cov_w"], attn["score_v"], ctx.penalty, coverage
+    )
+    alpha = getitem(out, (..., slice(None, src)))
+    context = getitem(out, (..., slice(src, src + width)))
+    if coverage is None:
+        return alpha, context, None, None
+    started = getitem(out, (..., slice(src + width, None)))
+    last = (slice(None), -1)
+    return alpha, context, started, add(getitem(started, last), getitem(alpha, last))
 
 
 def decode_step(
@@ -375,10 +377,9 @@ def decode_step(
 ) -> tuple[StepOutput, DecoderState]:
     """Run the decoder over `input_ids` [B, T] from `state`.
 
-    Returns the outputs of all T steps and the state after the last one.
-    Only attention steps one position at a time, adding each step's
-    attention to the coverage that the state carries (None when coverage is
-    off).  ``input_ids`` must be in-vocabulary: callers map copied OOVs to
+    Returns the outputs of all T steps and the state after the last one,
+    whose coverage (None when coverage is off) has each step's attention
+    added.  ``input_ids`` must be in-vocabulary: callers map copied OOVs to
     the unknown id.
     """
     params, cfg = ctx.params, ctx.cfg
@@ -389,22 +390,7 @@ def decode_step(
     out1, h1, c1 = lstm_step(cell_weights(params["D1"], "cell"), emb, h1, c1)
     out2, h2, c2 = lstm_step(cell_weights(params["D2"], "cell"), out1, h2, c2)  # [B, T, h]
     query = attention_query(params["Attn"], out2)
-
-    alphas: list[Tensor] = []
-    contexts: list[Tensor] = []
-    coverages: list[Tensor] = []
-    for t in range(input_ids.shape[1]):
-        alpha, context = attention_step(
-            params["Attn"], getitem(query, (slice(None), t)), ctx.states, coverage,
-            ctx.penalty, ctx.enc_feat,
-        )
-        alphas.append(alpha)
-        contexts.append(context)
-        if coverage is not None:
-            coverages.append(coverage)
-            coverage = add(coverage, alpha)
-    alpha = _stack_steps(alphas)                                               # [B, T, S]
-    context = _stack_steps(contexts)
+    alpha, context, started, coverage = attention_step(ctx, query, coverage)
 
     vocab_dist = vocab_distribution(params["Out"], out2, context)
     if cfg.use_pointer:
@@ -416,7 +402,6 @@ def decode_step(
             raise ContractError("decode_step: extended ids need the pointer enabled")
         p_gen = None
         final = vocab_dist
-    started = None if coverage is None else _stack_steps(coverages)
     out = StepOutput(alpha, context, vocab_dist, final, p_gen, started)
     return out, (h1, c1, h2, c2, coverage)
 

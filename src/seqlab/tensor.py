@@ -450,6 +450,7 @@ def lstm(
     c0: Tensor,
     keep: np.ndarray | None = None,
     reverse: bool = False,
+    back: tuple[Tensor, Tensor, Tensor] | None = None,
 ) -> Tensor:
     """Run an LSTM over every step of `x` [B, T, in] as one tape node.
 
@@ -464,68 +465,98 @@ def lstm(
     stay exactly as they were, so a row's last state belongs to its last
     real step.  `reverse` runs t from T-1 down to 0.
 
-    Returns [B, T, 2h]: the state after each step, h in the first half of
-    the last axis and c in the second.  The input projection of all steps
-    is one matmul.  The backward pass is one reverse sweep that keeps each
-    step's gate adjoints, then forms the gradients of `x`, `w`, `u` and `b`
-    with one product each over all B*T rows; `keep` gets no adjoint.
+    `back`, a second cell's (w, u, b), adds a second direction that runs the
+    opposite way over the same inputs and mask: with `reverse` False, the
+    two directions of a bidirectional layer.  Both run in the same loop: the
+    opposite direction is fed the time-flipped input projection and mask,
+    so each step is one stacked [2, B, h] @ [2, h, 4h] recurrent product,
+    forward and backward.  `h0` and `c0` are then [B, 2h], the first
+    direction's start state followed by the second's.
+
+    Returns the state after each step, [B, T, 2h] for one direction and
+    [B, T, 4h] for two: every direction's h side by side in the first half
+    of the last axis, and their c in the same order in the second.  The
+    input projection of all steps is one matmul per direction.  The
+    backward pass is one reverse sweep that keeps each step's gate
+    adjoints, then forms the gradients of `x`, `w`, `u` and `b` with one
+    product each over all B*T rows; `keep` gets no adjoint.
     """
-    xv, wv, uv, bv = x.values, w.values, u.values, b.values
-    h0v, c0v = h0.values, c0.values
+    cells = ((w, u, b),) if back is None else ((w, u, b), tuple(back))
+    flips = (reverse, not reverse)[: len(cells)]  # directions fed time-flipped
+    dirs = len(cells)
+    xv, h0v, c0v = x.values, h0.values, c0.values
     if xv.ndim != 3:
         raise DimensionError("lstm", xv.shape)
     bsz, steps, in_dim = xv.shape
-    hid = uv.shape[0]
-    expected = ((in_dim, 4 * hid), (hid, 4 * hid), (4 * hid,), (bsz, hid), (bsz, hid))
-    if (wv.shape, uv.shape, bv.shape, h0v.shape, c0v.shape) != expected:
-        raise DimensionError("lstm", xv.shape, wv.shape, uv.shape, bv.shape, h0v.shape, c0v.shape)
-    frozen = [False] * steps  # steps where some row holds its state
+    hid = u.values.shape[0]
+    shapes = tuple(t.values.shape for cell in cells for t in cell) + (h0v.shape, c0v.shape)
+    expected = ((in_dim, 4 * hid), (hid, 4 * hid), (4 * hid,)) * dirs + ((bsz, dirs * hid),) * 2
+    if shapes != expected:
+        raise DimensionError("lstm", xv.shape, *shapes)
+
+    def run_order(a: np.ndarray, flip: bool) -> np.ndarray:
+        """A time-major array in the order a direction runs its steps, or
+        back: steps reversed for a direction fed time-flipped."""
+        return a[::-1] if flip else a
+
+    frozen = [False] * steps  # steps where some row of some direction holds its state
     if keep is not None:
         if keep.shape != (bsz, steps):
             raise DimensionError("lstm", xv.shape, keep.shape)
-        hold = keep == 0
-        frozen = hold.any(axis=0).tolist()
+        hold = np.stack([run_order(keep.T == 0, flip) for flip in flips], axis=1)  # [T, D, B]
+        frozen = hold.any(axis=(1, 2)).tolist()
     rows = bsz * steps
-    proj = xv.reshape(rows, in_dim) @ wv + bv
     # sigmoid(z) = (1 + tanh(z / 2)) / 2, so one tanh serves all four gates:
     # halve the i, f, o pre-activations (exact in binary floating point),
     # then map those gates from [-1, 1] onto [0, 1].
-    half = np.full(4 * hid, 0.5, dtype=proj.dtype)
+    half = np.full(4 * hid, 0.5, dtype=np.result_type(xv, w.values))
     half[2 * hid : 3 * hid] = 1.0
     shift = half.copy()
     shift[2 * hid : 3 * hid] = 0.0
-    proj = (proj * half).reshape(bsz, steps, 4 * hid)
-    u_half = uv * half
+    # Every direction's projections, gates and states, time-major in the
+    # order it runs its steps, so each step reads and writes one block.
+    proj = np.empty((steps, dirs, bsz, 4 * hid), dtype=half.dtype)
+    for d, ((wd, _, bd), flip) in enumerate(zip(cells, flips)):
+        p = (xv.reshape(rows, in_dim) @ wd.values + bd.values) * half
+        proj[:, d] = run_order(p.reshape(bsz, steps, 4 * hid).swapaxes(0, 1), flip)
+    u_half = np.stack([ud.values * half for _, ud, _ in cells])
     acts = np.empty_like(proj)  # gate activations i, f, g, o of every step
-    out = np.empty((bsz, steps, 2 * hid), dtype=proj.dtype)
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    h, c = h0v, c0v
-    for t in order:
-        a = acts[:, t]
-        np.tanh(proj[:, t] + h @ u_half, out=a)
+    i, f, cell, o = (acts[..., k * hid : (k + 1) * hid] for k in range(4))
+    run = np.empty((steps, dirs, bsz, 2 * hid), dtype=proj.dtype)
+    h_out, c_out = run[..., :hid], run[..., hid:]
+    h_start = h0v.reshape(bsz, dirs, hid).swapaxes(0, 1)
+    c_start = c0v.reshape(bsz, dirs, hid).swapaxes(0, 1)
+    h, c = h_start, c_start
+    for t in range(steps):
+        a = acts[t]
+        np.matmul(h, u_half, out=a)
+        a += proj[t]
+        np.tanh(a, out=a)
         a *= half
         a += shift
-        h_new, c_new = out[:, t, :hid], out[:, t, hid:]
-        np.multiply(a[:, hid : 2 * hid], c, out=c_new)
-        c_new += a[:, :hid] * a[:, 2 * hid : 3 * hid]
+        h_new, c_new = h_out[t], c_out[t]
+        np.multiply(f[t], c, out=c_new)
+        c_new += i[t] * cell[t]
         np.tanh(c_new, out=h_new)
-        h_new *= a[:, 3 * hid :]
+        h_new *= o[t]
         if frozen[t]:
-            np.copyto(h_new, h, where=hold[:, t, None])
-            np.copyto(c_new, c, where=hold[:, t, None])
+            np.copyto(h_new, h, where=hold[t, ..., None])
+            np.copyto(c_new, c, where=hold[t, ..., None])
         h, c = h_new, c_new
+    out = np.empty((bsz, steps, 2, dirs, hid), dtype=run.dtype)
+    for d, flip in enumerate(flips):
+        out[:, :, :, d] = run_order(run[:, d], flip).swapaxes(0, 1).reshape(bsz, steps, 2, hid)
+    out = out.reshape(bsz, steps, 2 * dirs * hid)
 
     def vjp(g):
-        gates = acts.reshape(bsz, steps, 4, hid)
-        i, f, cell, o = (gates[:, :, k] for k in range(4))
-        h_out, c_out = out[..., :hid], out[..., hid:]
-        # The state each step started from, in the same [B, T, h] layout.
-        if reverse:
-            h_in = np.concatenate([h_out[:, 1:], h0v[:, None]], axis=1)
-            c_in = np.concatenate([c_out[:, 1:], c0v[:, None]], axis=1)
-        else:
-            h_in = np.concatenate([h0v[:, None], h_out[:, :-1]], axis=1)
-            c_in = np.concatenate([c0v[:, None], c_out[:, :-1]], axis=1)
+        g_run = np.empty((steps, dirs, bsz, 2 * hid), dtype=g.dtype)
+        g_dirs = g.reshape(bsz, steps, 2, dirs, hid)
+        for d, flip in enumerate(flips):
+            gd = g_dirs[:, :, :, d].swapaxes(0, 1)
+            g_run[:, d] = run_order(gd, flip).reshape(steps, bsz, 2 * hid)
+        # The state each step started from, in the same layout.
+        h_in = np.concatenate([h_start[None], h_out[:-1]])
+        c_in = np.concatenate([c_start[None], c_out[:-1]])
         # On a frozen step c_out is the old state, not the step's own cell,
         # but that step's adjoints are zero, so the value never counts.
         tanh_c = np.tanh(c_out)
@@ -533,35 +564,147 @@ def lstm(
         # Pre-activation adjoints of the i, f, g gates per unit adjoint of
         # the step's cell, and of the o gate per unit adjoint of its h.
         per_dc = np.stack(
-            [cell * i * (1.0 - i), c_in * f * (1.0 - f), i * (1.0 - cell * cell)], axis=2
+            [cell * i * (1.0 - i), c_in * f * (1.0 - f), i * (1.0 - cell * cell)], axis=-2
         )
         per_dh = tanh_c * o * (1.0 - o)
-        dz = np.empty((bsz, steps, 4, hid), dtype=g.dtype)
-        dh = np.zeros((bsz, hid), dtype=g.dtype)
-        dc = np.zeros((bsz, hid), dtype=g.dtype)
-        ut = uv.T
-        for t in reversed(order):
-            dh = dh + g[:, t, :hid]
-            dc = dc + g[:, t, hid:]
+        dz = np.empty((steps, dirs, bsz, 4, hid), dtype=g.dtype)
+        dh = np.zeros((dirs, bsz, hid), dtype=g.dtype)
+        dc = np.zeros((dirs, bsz, hid), dtype=g.dtype)
+        ut = np.stack([ud.values.T for _, ud, _ in cells])
+        g_h, g_c = g_run[..., :hid], g_run[..., hid:]
+        dz_cell, dz_h = dz[..., :3, :], dz[..., 3, :]
+        for t in range(steps - 1, -1, -1):
+            dh = dh + g_h[t]
+            dc = dc + g_c[t]
             if frozen[t]:
-                k = hold[:, t, None]
-                dh_held, dc_held = np.where(k, dh, 0.0), np.where(k, dc, 0.0)
+                # A held row passes its adjoints through the step untouched.
+                k = hold[t, ..., None]
+                dh_held, dc_held = dh, dc
                 dh, dc = np.where(k, 0.0, dh), np.where(k, 0.0, dc)
-            dc = dc + dh * dc_per_dh[:, t]
-            np.multiply(per_dc[:, t], dc[:, None], out=dz[:, t, :3])
-            np.multiply(per_dh[:, t], dh, out=dz[:, t, 3])
-            dh = dz[:, t].reshape(bsz, 4 * hid) @ ut
-            dc = dc * f[:, t]
+            dc = dc + dh * dc_per_dh[t]
+            np.multiply(per_dc[t], dc[..., None, :], out=dz_cell[t])
+            np.multiply(per_dh[t], dh, out=dz_h[t])
+            dh = dz[t].reshape(dirs, bsz, 4 * hid) @ ut
+            dc = dc * f[t]
             if frozen[t]:
-                dh = dh + dh_held
-                dc = dc + dc_held
-        dz2 = dz.reshape(rows, 4 * hid)
-        dx = (dz2 @ wv.T).reshape(xv.shape)
-        dw = xv.reshape(rows, in_dim).T @ dz2
-        du = h_in.reshape(rows, hid).T @ dz2
-        return dx, dw, du, dz2.sum(axis=0), dh, dc
+                dh = np.where(k, dh_held, dh)
+                dc = np.where(k, dc_held, dc)
+        grads = []
+        dx = 0.0
+        for d, ((wd, _, _), flip) in enumerate(zip(cells, flips)):
+            # Back to [B, T] order, so the weight products sum rows in time order.
+            dz2 = run_order(dz[:, d], flip).swapaxes(0, 1).reshape(rows, 4 * hid)
+            dx = dx + (dz2 @ wd.values.T).reshape(xv.shape)
+            dw = xv.reshape(rows, in_dim).T @ dz2
+            du = run_order(h_in[:, d], flip).swapaxes(0, 1).reshape(rows, hid).T @ dz2
+            grads.append((dw, du, dz2.sum(axis=0)))
+        dh0 = dh.swapaxes(0, 1).reshape(bsz, dirs * hid)
+        dc0 = dc.swapaxes(0, 1).reshape(bsz, dirs * hid)
+        return (dx, *grads[0], dh0, dc0, *(grads[1] if back is not None else ()))
 
-    return _record(out, "lstm", (x, w, u, b, h0, c0), vjp)
+    return _record(out, "lstm", (x, w, u, b, h0, c0, *(back or ())), vjp)
+
+
+def attention(
+    enc_feat: Tensor,
+    query: Tensor,
+    states: Tensor,
+    cov_w: Tensor,
+    score_v: Tensor,
+    penalty: Tensor,
+    coverage: Tensor | None = None,
+) -> Tensor:
+    """Additive attention for every step of `query` [B, T, a] as one tape node.
+
+    `states` [B, S, D] are the memory and `enc_feat` [B, S, a] their
+    attention projection; `penalty` [B, S] is added to every step's scores
+    (0 on real positions, a large negative number on padding), and `cov_w`
+    and `score_v` are [a].  Step t computes
+
+        e = tanh(enc_feat + query_t + cov_t * cov_w) score_v,
+        alpha_t = softmax(e + penalty),    context_t = alpha_t states,
+
+    where the coverage starts from `coverage` [B, S] and each step adds its
+    own attention: cov_{t+1} = cov_t + alpha_t.  Without `coverage` the
+    coverage feature is dropped, every step is independent, and `cov_w`
+    gets no adjoint.
+
+    Returns [B, T, S + D]: alpha, then the context; with coverage, S more
+    columns hold the coverage each step started from.  Only the coverage
+    recurs over T: with it the forward steps through T, and the backward
+    carries just the coverage adjoint back through one reverse sweep of
+    [B, S] arrays.  Everything else, the tanh features, the context and
+    every reduction of the backward, runs over all T steps at once.
+    """
+    fv, qv, sv = enc_feat.values, query.values, states.values
+    cwv, vv, pv = cov_w.values, score_v.values, penalty.values
+    cov0 = None if coverage is None else coverage.values
+    if fv.ndim != 3 or qv.ndim != 3 or sv.ndim != 3:
+        raise DimensionError("attention", fv.shape, qv.shape, sv.shape)
+    bsz, src, dim = fv.shape
+    steps, width = qv.shape[1], sv.shape[-1]
+    shapes = (qv.shape, sv.shape[:2], cwv.shape, vv.shape, pv.shape)
+    if shapes != ((bsz, steps, dim), (bsz, src), (dim,), (dim,), (bsz, src)) or (
+        cov0 is not None and cov0.shape != (bsz, src)
+    ):
+        shown = (fv.shape, qv.shape, sv.shape, cwv.shape, vv.shape, pv.shape)
+        raise DimensionError("attention", *shown, *(() if cov0 is None else (cov0.shape,)))
+    cols = src + width + (0 if cov0 is None else src)
+    out = np.empty((bsz, steps, cols), dtype=np.result_type(fv, qv))
+    alpha = out[..., :src]
+    feats = fv[:, None] + qv[:, :, None]  # [B, T, S, a]; tanh is taken in place
+    if cov0 is None:
+        np.tanh(feats, out=feats)
+        x = feats @ vv + pv[:, None]
+        ex = np.exp(x - x.max(axis=-1, keepdims=True))
+        np.divide(ex, ex.sum(axis=-1, keepdims=True), out=alpha)
+    else:
+        started = out[..., src + width :]
+        cov = cov0
+        for t in range(steps):
+            started[:, t] = cov
+            f = feats[:, t]
+            f += cov[:, :, None] * cwv
+            np.tanh(f, out=f)
+            x = f @ vv + pv
+            ex = np.exp(x - x.max(axis=-1, keepdims=True))
+            np.divide(ex, ex.sum(axis=-1, keepdims=True), out=alpha[:, t])
+            cov = cov + alpha[:, t]
+    np.matmul(alpha, sv, out=out[..., src : src + width])
+
+    def vjp(g):
+        g_ctx = g[..., src : src + width]
+        d_alpha = g[..., :src] + g_ctx @ sv.transpose(0, 2, 1)
+        d_states = alpha.transpose(0, 2, 1) @ g_ctx
+        d_tanh = 1.0 - feats * feats
+        if cov0 is None:
+            d_scores = (d_alpha - (d_alpha * alpha).sum(axis=-1, keepdims=True)) * alpha
+            d_cov0 = None
+        else:
+            # How much a unit of coverage moves each score: the coverage
+            # feature's path through tanh, summed over the attention width.
+            slope = d_tanh @ (vv * cwv)  # [B, T, S]
+            g_started = g[..., src + width :]
+            d_scores = np.empty_like(d_alpha)
+            carry = np.zeros((bsz, src), dtype=g.dtype)  # adjoint of cov_{t+1}
+            for t in range(steps - 1, -1, -1):
+                a = alpha[:, t]
+                da = d_alpha[:, t] + carry
+                ds = (da - (da * a).sum(axis=-1, keepdims=True)) * a
+                d_scores[:, t] = ds
+                carry = carry + g_started[:, t] + ds * slope[:, t]
+            d_cov0 = carry
+        d_feats = d_scores[..., None] * vv
+        d_feats *= d_tanh
+        d_v = feats.reshape(-1, dim).T @ d_scores.reshape(-1)
+        d_cov_w = None if cov0 is None else d_feats.reshape(-1, dim).T @ started.reshape(-1)
+        d_enc, d_query = d_feats.sum(axis=1), d_feats.sum(axis=2)
+        return d_enc, d_query, d_states, d_cov_w, d_v, d_scores.sum(axis=1), d_cov0
+
+    parents = (enc_feat, query, states, cov_w, score_v, penalty)
+    if coverage is not None:
+        parents += (coverage,)
+    return _record(out, "attention", parents, vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,9 @@ def test_every_per_layer_metric_has_a_wrap_point(monkeypatch):
 def test_traced_forward_loss_opens_a_span_for_every_lstm_layer(monkeypatch):
     """The tracer names each `lstm_step` span by layer from its caller, so a
     teacher-forced loss must reach every encoder and decoder layer through
-    `lstm_step`, inside `encode` and `decode_step`."""
+    `lstm_step`, inside `encode` and `decode_step`: one call per layer, both
+    directions of an encoder layer included.  Attention is one
+    `attention_step` call per `decode_step`."""
     monkeypatch.syspath_prepend(str(BENCH))
     import tracer
     from conftest import tiny_batch, tiny_config
@@ -40,6 +42,7 @@ def test_traced_forward_loss_opens_a_span_for_every_lstm_layer(monkeypatch):
     recorder = tracer.Tracer("x")
     with tracer.traced(recorder, cfg.emb_dim):
         model.forward_loss(params.groups, cfg, batch)
-    layers = Counter(s.name for s in recorder.spans if s.name.startswith("model.fwd.")
-                     and s.name[-2:] in ("E1", "E2", "D1", "D2"))
-    assert layers == {"model.fwd.E1": 2, "model.fwd.E2": 2, "model.fwd.D1": 1, "model.fwd.D2": 1}
+    spans = Counter(s.name for s in recorder.spans)
+    layers = {k: n for k, n in spans.items() if k[-2:] in ("E1", "E2", "D1", "D2")}
+    assert layers == {"model.fwd.E1": 1, "model.fwd.E2": 1, "model.fwd.D1": 1, "model.fwd.D2": 1}
+    assert spans["model.fwd.Attn"] == spans["model.decode_step"] == 1

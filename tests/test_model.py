@@ -2,14 +2,17 @@
 
 import copy
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import TINY_SPEC, tiny_batch, tiny_config
+from seqlab import model as model_module
 from seqlab.data import UNK_ID, encode_example, make_batch, Example
 from seqlab.errors import ContractError
 from seqlab.model import (
+    MASK_PENALTY,
     ModelConfig,
     attention_query,
     attention_step,
@@ -17,7 +20,6 @@ from seqlab.model import (
     encode,
     final_distribution,
     forward_loss,
-    mask_penalty,
     param_shapes,
     step_nll,
     vocab_distribution,
@@ -26,6 +28,7 @@ from seqlab.sharing import single_task_params
 from seqlab.tensor import (
     Tensor,
     add,
+    attention,
     backward,
     concat,
     getitem,
@@ -38,6 +41,7 @@ from seqlab.tensor import (
     reshape,
     scale,
     sigmoid,
+    softmax,
     tanh,
     tensor,
 )
@@ -259,34 +263,144 @@ class TestEncoderContracts:
 class TestAttention:
     def test_attention_without_coverage_feature(self, tiny_setup):
         cfg, params, batch, _ = tiny_setup
-        enc = encode(params.groups, cfg, batch)
-        pen = mask_penalty(batch.src_mask)
-        query = attention_query(params.groups["Attn"], enc.init_state[2])
-        alpha, ctx = attention_step(params.groups["Attn"], query, enc.states, None, pen)
-        assert alpha.shape == batch.src_ids.shape
-        assert ctx.shape == (batch.size, 2 * cfg.hidden)
-        np.testing.assert_allclose(alpha.values.sum(axis=1), 1.0, atol=1e-12)
+        ctx = encode(params.groups, cfg, batch)
+        dec_state = reshape(ctx.init_state[2], (batch.size, 1, -1))
+        query = attention_query(params.groups["Attn"], dec_state)
+        alpha, context, started, after = attention_step(ctx, query, None)
+        assert alpha.shape == (batch.size, 1, batch.src_ids.shape[1])
+        assert context.shape == (batch.size, 1, 2 * cfg.hidden)
+        assert started is None and after is None
+        np.testing.assert_allclose(alpha.values.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_coverage_feature_shifts_attention(self, tiny_setup):
         cfg, params, batch, _ = tiny_setup
-        enc = encode(params.groups, cfg, batch)
-        pen = mask_penalty(batch.src_mask)
-        query = attention_query(params.groups["Attn"], enc.init_state[2])
-        base, _ = attention_step(params.groups["Attn"], query, enc.states, None, pen)
+        ctx = encode(params.groups, cfg, batch)
+        dec_state = reshape(ctx.init_state[2], (batch.size, 1, -1))
+        query = attention_query(params.groups["Attn"], dec_state)
+        base, *_ = attention_step(ctx, query, None)
         # uneven coverage: softmax cancels a uniform feature, so load one side
         lopsided = np.zeros_like(batch.src_mask)
         lopsided[:, 0] = 5.0
-        loaded, _ = attention_step(
-            params.groups["Attn"], query, enc.states, tensor(lopsided), pen,
-        )
+        loaded, _, started, after = attention_step(ctx, query, tensor(lopsided))
         assert not np.allclose(base.values, loaded.values)
+        np.testing.assert_array_equal(started.values[:, 0], lopsided)
+        np.testing.assert_array_equal(after.values, lopsided + loaded.values[:, 0])
+
+
+def composite_attention(enc_feat, query, states, cov_w, score_v, penalty, coverage=None):
+    """The oracle for `attention`: additive attention built from primitive
+    ops one target step at a time, as the model computed it before the fused
+    op, with each step's outputs laid out like the op's.
+
+    Step t adds the coverage feature, takes tanh and the score, the masked
+    softmax and the context, then adds its attention to the coverage.
+    """
+    bsz, src, _ = enc_feat.shape
+    steps = []
+    for t in range(query.shape[1]):
+        feats = add(enc_feat, reshape(getitem(query, (slice(None), t)), (bsz, 1, -1)))
+        if coverage is not None:
+            feats = add(feats, multiply(reshape(coverage, (bsz, src, 1)), cov_w))
+        scores = matmul(tanh(feats), score_v)      # [B, S]
+        alpha = softmax(add(scores, penalty))
+        context = reshape(matmul(reshape(alpha, (bsz, 1, src)), states), (bsz, -1))
+        if coverage is None:
+            steps.append(concat([alpha, context]))
+        else:
+            steps.append(concat([alpha, context, coverage]))
+            coverage = add(coverage, alpha)
+    return reshape(concat(steps), (bsz, len(steps), -1))
+
+
+# (name, target steps, real source tokens per row or None, start coverage)
+ATTENTION_CASES = [
+    ("one-step", 1, None, None),
+    ("one-step-coverage", 1, None, "zero"),
+    ("one-step-loaded", 1, (5, 3, 1), "loaded"),
+    ("steps", 4, None, None),
+    ("steps-coverage", 4, None, "zero"),
+    ("padded", 4, (5, 3, 1), None),
+    ("padded-coverage", 4, (5, 3, 1), "zero"),
+    ("padded-loaded", 4, (5, 3, 1), "loaded"),
+]
+
+
+def attention_inputs(steps, lengths, start, bsz=3, src=5, dim=4, width=6, seed=0):
+    """Random inputs of `attention`, keyed like its parameters; the penalty
+    masks the positions past each row's length, and a loaded coverage is
+    uneven over the real positions."""
+    rng = np.random.default_rng(seed)
+    mask = np.ones((bsz, src))
+    if lengths is not None:
+        mask = (np.arange(src)[None, :] < np.array(lengths)[:, None]).astype(np.float64)
+    arrays = {
+        "enc_feat": rng.normal(size=(bsz, src, dim)),
+        "query": rng.normal(size=(bsz, steps, dim)),
+        "states": rng.normal(size=(bsz, src, width)),
+        "cov_w": rng.normal(size=dim),
+        "score_v": rng.normal(size=dim),
+        "penalty": (1.0 - mask) * MASK_PENALTY,
+    }
+    if start == "zero":
+        arrays["coverage"] = np.zeros((bsz, src))
+    elif start == "loaded":
+        arrays["coverage"] = rng.uniform(0.0, 1.5, size=(bsz, src)) * mask
+    return arrays
+
+
+@pytest.mark.parametrize(
+    "steps,lengths,start", [c[1:] for c in ATTENTION_CASES], ids=[c[0] for c in ATTENTION_CASES]
+)
+class TestAttentionOp:
+    """The fused `attention` op against the per-step attention it replaced."""
+
+    def weighted_loss(self, op):
+        def build(leaves):
+            out = op(**leaves)
+            weights = np.random.default_rng(11).normal(size=out.shape)
+            return reduce_sum(multiply(out, tensor(weights.astype(out.dtype))))
+
+        return build
+
+    def test_values_match_composite(self, steps, lengths, start):
+        leaves = {k: tensor(v) for k, v in attention_inputs(steps, lengths, start).items()}
+        fused = attention(**leaves).values
+        oracle = composite_attention(**leaves).values
+        assert fused.shape == oracle.shape
+        assert rel_diff(fused, oracle) <= 1e-12
+
+    def test_gradients_match_composite(self, steps, lengths, start):
+        arrays = attention_inputs(steps, lengths, start)
+        grads = []
+        for op in (attention, composite_attention):
+            leaves = {k: tensor(v) for k, v in arrays.items()}
+            got = backward(self.weighted_loss(op)(leaves), wrt=leaves.values())
+            grads.append({k: got[t] for k, t in leaves.items()})
+        for k in arrays:
+            got, want = grads[0][k], grads[1][k]
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), k
+
+    def test_gradient_check(self, steps, lengths, start):
+        # The smallest entries (about 1e-5 of enc_feat) carry central
+        # difference noise of about 1e-11, so 1e-6 would fail on noise.
+        arrays = attention_inputs(steps, lengths, start)
+        report = gradient_check(self.weighted_loss(attention), arrays, tolerance=1e-5)
+        assert report.passed, report.summary()
+
+    def test_float32(self, steps, lengths, start):
+        arrays = attention_inputs(steps, lengths, start)
+        oracle = composite_attention(**{k: tensor(v) for k, v in arrays.items()}).values
+        out = attention(**{k: tensor(v, dtype=np.float32) for k, v in arrays.items()})
+        assert out.dtype == np.float32
+        assert rel_diff(out.values.astype(np.float64), oracle) <= 1e-5
 
 
 def stepwise_loss(params, cfg, batch, cov_weight=1.0):
     """The oracle for `forward_loss`: the teacher-forced loss built from one
-    `decode_step` call per target step, each step's terms masked and summed
-    in order.  The coverage term reads a running sum of the steps' attention
-    kept here, not the decoder's own coverage.
+    `decode_step` call per target step, with attention built by
+    `composite_attention` in place of the fused op, and each step's terms
+    masked and summed in order.  The coverage term reads a running sum of
+    the steps' attention kept here, not the decoder's own coverage.
 
     Returns (nll, coverage, total, the StepOutput of every step, [B, 1, ...]).
     """
@@ -301,7 +415,8 @@ def stepwise_loss(params, cfg, batch, cov_weight=1.0):
     nll_acc = cov_acc = None
     outs = []
     for t in range(dec_len):
-        out, state = decode_step(ctx, state, batch.dec_in[:, t : t + 1])
+        with mock.patch.object(model_module, "attention", composite_attention):
+            out, state = decode_step(ctx, state, batch.dec_in[:, t : t + 1])
         mask = tensor(batch.dec_mask[:, t : t + 1].astype(dt))
         logp = multiply(step_nll(out.final_dist, gold[:, t : t + 1]), mask)
         nll_acc = logp if nll_acc is None else add(nll_acc, logp)
@@ -430,9 +545,9 @@ class TestWholeTargetLoss:
             if w is not None:
                 assert close(g.values, w.values, 1e-12)
 
-    def test_only_attention_runs_per_step(self, use_pointer, use_coverage):
-        """One more target step adds one attention step to the tape and
-        nothing else: the LSTMs, `Out` and `Ptr` run once per batch."""
+    def test_tape_size_does_not_grow_with_the_target(self, use_pointer, use_coverage):
+        """Every op of the loss, attention included, covers all target steps
+        at once: the tape is the same size for every target length."""
         cfg, params, batch = self.inputs(use_pointer, use_coverage, "float64")
 
         def nodes(steps):
@@ -441,21 +556,8 @@ class TestWholeTargetLoss:
                 setattr(cut, name, getattr(batch, name)[:, :steps])
             return tape_size(forward_loss(params.groups, cfg, cut).total)
 
-        # The ops of one step: the query slice, the attention and the
-        # coverage update, counted on an attention step of its own.
-        h, s = cfg.hidden, batch.src_ids.shape[1]
-        leaf = lambda *shape: tensor(np.ones(shape))
-        coverage = leaf(batch.size, s) if use_coverage else None
-        alpha, context = attention_step(
-            params.groups["Attn"], leaf(batch.size, cfg.attention_dim),
-            leaf(batch.size, s, 2 * h), coverage, mask_penalty(batch.src_mask),
-            leaf(batch.size, s, cfg.attention_dim),
-        )
-        attention = tape_size(concat([alpha, context])) - 1  # less the concat
-        one_step = 1 + attention + int(use_coverage)
-        per_step = [nodes(t + 1) - nodes(t) for t in (2, 3)]
-        assert per_step[0] == per_step[1]
-        assert 0 < per_step[0] <= one_step, (per_step, one_step)
+        assert batch.dec_in.shape[1] >= 4
+        assert nodes(2) == nodes(3) == nodes(4)
 
 
 class TestModelGradients:
@@ -622,3 +724,88 @@ def test_lstm_padded_steps_hold_the_state_exactly(reverse):
         held = start[row] if reverse else out[row, n - 1]
         for t in range(n, 5):
             np.testing.assert_array_equal(out[row, t], held)
+
+
+# (name, steps, real tokens per row or None, zero start state)
+BIDIRECTIONAL_CASES = [
+    ("full", 5, None, True),
+    ("padded-one-token-row", 5, (5, 3, 1), True),
+    ("padded-loaded-start", 5, (5, 3, 1), False),
+    ("one-step", 1, None, False),
+]
+BIDIRECTIONAL_ORDER = ("x", "w", "u", "b", "h0", "c0", "bw", "bu", "bb")
+
+
+def bidirectional_inputs(steps, lengths, zero_start):
+    """Two cells' inputs for one layer: the second cell's arrays are named
+    with a leading ``b``, and the start states hold both cells' side by side."""
+    arrays, keep = lstm_inputs(steps, lengths, zero_start)
+    back, _ = lstm_inputs(steps, lengths, zero_start, seed=1)
+    for k in ("w", "u", "b"):
+        arrays["b" + k] = back[k]
+    for k in ("h0", "c0"):
+        arrays[k] = np.concatenate([arrays[k], back[k]], axis=-1)
+    return arrays, keep
+
+
+def bidirectional(leaves, keep):
+    x, w, u, b, h0, c0, bw, bu, bb = (leaves[k] for k in BIDIRECTIONAL_ORDER)
+    return lstm(x, w, u, b, h0, c0, keep, back=(bw, bu, bb))
+
+
+def two_one_direction_runs(leaves, keep):
+    """A forward and a reverse `lstm` call, laid out like one call with both:
+    the two h, then the two c."""
+    x, w, u, b, h0, c0, bw, bu, bb = (leaves[k] for k in BIDIRECTIONAL_ORDER)
+    hid = u.shape[0]
+    first, second = (slice(None), slice(None, hid)), (slice(None), slice(hid, None))
+    fwd = lstm(x, w, u, b, getitem(h0, first), getitem(c0, first), keep)
+    bwd = lstm(x, bw, bu, bb, getitem(h0, second), getitem(c0, second), keep, reverse=True)
+    h, c = (..., slice(None, hid)), (..., slice(hid, None))
+    return concat([getitem(fwd, h), getitem(bwd, h), getitem(fwd, c), getitem(bwd, c)])
+
+
+@pytest.mark.parametrize(
+    "steps,lengths,zero_start",
+    [c[1:] for c in BIDIRECTIONAL_CASES],
+    ids=[c[0] for c in BIDIRECTIONAL_CASES],
+)
+class TestBidirectionalLSTM:
+    """One `lstm` call with both directions against two one-direction calls."""
+
+    def weighted_loss(self, op, keep):
+        def build(leaves):
+            out = op(leaves, keep)
+            weights = np.random.default_rng(11).normal(size=out.shape)
+            return reduce_sum(multiply(out, tensor(weights.astype(out.dtype))))
+
+        return build
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_values_equal_two_runs(self, steps, lengths, zero_start, dtype):
+        arrays, keep = bidirectional_inputs(steps, lengths, zero_start)
+        leaves = {k: tensor(v, dtype=dtype) for k, v in arrays.items()}
+        both = bidirectional(leaves, keep).values
+        assert both.dtype == dtype
+        np.testing.assert_array_equal(both, two_one_direction_runs(leaves, keep).values)
+
+    def test_float32_against_float64(self, steps, lengths, zero_start):
+        arrays, keep = bidirectional_inputs(steps, lengths, zero_start)
+        want = bidirectional({k: tensor(v) for k, v in arrays.items()}, keep).values
+        got = bidirectional({k: tensor(v, dtype=np.float32) for k, v in arrays.items()}, keep)
+        assert rel_diff(got.values.astype(np.float64), want) <= 1e-5
+
+    def test_gradients_match_two_runs(self, steps, lengths, zero_start):
+        arrays, keep = bidirectional_inputs(steps, lengths, zero_start)
+        grads = []
+        for op in (bidirectional, two_one_direction_runs):
+            leaves = {k: tensor(v) for k, v in arrays.items()}
+            got = backward(self.weighted_loss(op, keep)(leaves), wrt=leaves.values())
+            grads.append({k: got[t] for k, t in leaves.items()})
+        for k in BIDIRECTIONAL_ORDER:
+            assert rel_diff(grads[0][k], grads[1][k]) <= 1e-12, k
+
+    def test_gradient_check(self, steps, lengths, zero_start):
+        arrays, keep = bidirectional_inputs(steps, lengths, zero_start)
+        report = gradient_check(self.weighted_loss(bidirectional, keep), arrays, tolerance=1e-6)
+        assert report.passed, report.summary()

@@ -15,6 +15,7 @@ from seqlab.tensor import (
     LOG_FLOOR,
     Tensor,
     add,
+    attention,
     backward,
     concat,
     gather,
@@ -140,6 +141,21 @@ class TestShapeErrors:
         with pytest.raises(ContractError, match="scatter_add"):
             scatter_add(tensor(np.ones(3)), np.array([0, 1, 5]), size=4)
 
+    def test_attention_shape_mismatch(self):
+        z = lambda *shape: tensor(np.zeros(shape))
+        memory = (z(2, 3, 4), z(2, 1, 4), z(2, 3, 5), z(4), z(4))
+        with pytest.raises(DimensionError, match="attention"):
+            attention(*memory, z(2, 4))  # penalty wider than the source
+        with pytest.raises(DimensionError, match="attention"):
+            attention(*memory, z(2, 3), z(2, 4))  # so is the coverage
+
+    def test_lstm_two_directions_take_both_start_states(self):
+        z = lambda *shape: tensor(np.zeros(shape))
+        x, cell, h0 = z(2, 3, 4), (z(4, 12), z(3, 12), z(12)), z(2, 3)
+        lstm(x, *cell, h0, h0)
+        with pytest.raises(DimensionError, match="lstm"):
+            lstm(x, *cell, h0, h0, back=cell)
+
     def test_backward_requires_scalar_root(self):
         x = tensor([1.0, 2.0])
         with pytest.raises(ContractError, match="scalar"):
@@ -171,6 +187,10 @@ RECORDING_OPS = {
     "lstm": lambda t: (
         (t(2, 3, 4), t(4, 12), t(3, 12), t(12), t(2, 3), t(2, 3)),
         lambda *args: lstm(*args, keep=np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])),
+    ),
+    "attention": lambda t: (
+        (t(2, 3, 4), t(2, 2, 4), t(2, 3, 5), t(4), t(4), t(2, 3), t(2, 3)),
+        attention,
     ),
 }
 
