@@ -108,18 +108,19 @@ def load_corpus(path) -> list[Example]:
 
 
 def load_sources(path) -> list[Example]:
-    """Read a jsonl decoding input: `source` required, `target` optional."""
+    """Read a jsonl decoding input: `source` required and non-empty, `target` optional."""
     examples = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-            examples.append(
-                Example.from_text(obj["source"], obj.get("target", ""), obj.get("keywords", ()))
-            )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            ex = Example.from_text(obj["source"], obj.get("target", ""), obj.get("keywords", ()))
+        except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
             raise ContractError(f"{path}:{lineno}: bad input record ({exc})") from None
+        if not ex.source:
+            raise ContractError(f"{path}:{lineno}: bad input record (source has no tokens)")
+        examples.append(ex)
     return examples
 
 

@@ -10,7 +10,7 @@ own), and are mapped back to their source surface forms at text time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -31,9 +31,11 @@ __all__ = [
 
 BANNED_IDS = (PAD_ID, UNK_ID, START_ID)
 
-# Decoder rows per batched beam step: sources go through beam search in
-# chunks of max(1, ROW_BUDGET // beam), so 8 sources at beam 4.
-ROW_BUDGET = 32
+# Live decoder rows per batched beam step: sources go through beam search
+# in chunks of max(1, ROW_BUDGET // beam), so 32 sources at beam 4.  A step
+# holds about rows x S x (2h + a) floats of context and attention working
+# memory (S the chunk's longest source, a the attention width).
+ROW_BUDGET = 128
 
 
 @dataclass(frozen=True)
@@ -80,15 +82,16 @@ def beam_search(
     """Beam expansion over P_f for every source, best-first, deterministic.
 
     Returns one list per source, in input order.  Sources are decoded
-    together, `beam` decoder rows each, in chunks of at most `ROW_BUDGET`
-    rows (at least one source per chunk).  Hypotheses that choose the end
-    token move to their source's finished pool with that step's
-    log-probability included; the rest are pruned to the top `beam` by
-    cumulative log-probability, ties going to the earlier parent, then the
-    lower id.  A source stops at the first step whose best candidate is the
-    end token, since no continuation can reach a higher summed
-    log-probability; at beam 1 this is greedy decoding.  Anything still
-    alive at `max_len`, or at a step where none of its source's live
+    together in chunks of `ROW_BUDGET // beam` (at least one): the encoder
+    runs once per source, and each step runs the decoder on the chunk's live
+    hypotheses alone, at most `ROW_BUDGET` rows (`beam` when that is more).
+    Hypotheses that choose the end token move to their source's finished
+    pool with that step's log-probability included; the rest are pruned to
+    the top `beam` by cumulative log-probability, ties going to the earlier
+    parent, then the lower id.  A source stops at the first step whose best
+    candidate is the end token, since no continuation can reach a higher
+    summed log-probability; at beam 1 this is greedy decoding.  Anything
+    still alive at `max_len`, or at a step where none of its source's live
     hypotheses has an admissible continuation, is kept as a forced
     (unfinished) candidate.  Each list is sorted by length-normalized score
     and holds between one and `beam` entries.
@@ -114,30 +117,29 @@ def _beam_chunk(
     max_len: int,
     min_len: int,
 ) -> list[list[Hypothesis]]:
-    """One beam over `len(examples) * k` rows; source s owns rows s*k ... s*k+k-1."""
+    """One beam over the chunk's sources; source s owns beam slots s*k ... s*k+k-1.
+
+    The encoder runs once, one row per source.  Each step runs the decoder
+    on the live slots alone, one row each in slot order (`live`), with their
+    sources' context rows.
+    """
     n = len(examples)
-    rows = n * k
     src_lens = [len(ex.src_ids) for ex in examples]
-    # each source enters the batch k times, one decoder row per beam slot
-    batch = make_batch([ex for ex in examples for _ in range(k)], dtype=cfg.np_dtype)
-    ctx = encode(params, cfg, batch)
-    state = ctx.init_state
-    # cumulative log-probability per row; an empty slot is -inf
-    logp = np.full(rows, -np.inf)
-    logp[::k] = 0.0
-    seqs = np.zeros((rows, 0), dtype=np.int64)  # every live row has t tokens at step t
-    inputs = np.full((rows, 1), START_ID)
+    sources = encode(params, cfg, make_batch(examples, dtype=cfg.np_dtype))
+    ctx, state = sources, sources.init_state
+    live = np.arange(n) * k  # the slot of each decoder row, ascending
+    logp = np.zeros(n)  # cumulative log-probability per row
+    seqs = np.zeros((n, 0), dtype=np.int64)  # every row has t tokens at step t
+    inputs = np.full((n, 1), START_ID)
     pools: list[list[Hypothesis]] = [[] for _ in range(n)]
 
     def hyp(row: int, score: float, coverage: Tensor | None, finished: bool) -> Hypothesis:
-        own = None if coverage is None else coverage.values[row, : src_lens[row // k]].copy()
+        own = None if coverage is None else coverage.values[row, : src_lens[live[row] // k]].copy()
         return Hypothesis(tuple(seqs[row].tolist()), float(score), own, finished)
 
-    def keep_forced(sources) -> None:
-        for s in sources:
-            for row in range(s * k, s * k + k):
-                if logp[row] > -np.inf:
-                    pools[s].append(hyp(row, logp[row], state[-1], False))
+    def keep_forced(stopped: np.ndarray) -> None:
+        for row in np.flatnonzero(stopped[live // k]):
+            pools[live[row] // k].append(hyp(row, logp[row], state[-1], False))
 
     for t in range(max_len):
         out, new_state = decode_step(ctx, state, inputs)
@@ -147,35 +149,41 @@ def _beam_chunk(
         if t < min_len:
             step[:, END_ID] = -np.inf
         width = step.shape[1]
-        totals = (step + logp[:, None]).reshape(n, k * width)
+        totals = np.full((n * k, width), -np.inf)  # an empty slot is -inf
+        totals[live] = step + logp[:, None]
+        totals = totals.reshape(n, k * width)
         # Stable sort: ties resolve to the earlier parent, then lower id.  A
         # source's top 2k candidates suffice: each parent has one end
         # candidate, so at most k of them precede its k-th live one.
         order = np.argsort(-totals, axis=1, kind="stable")[:, : 2 * k]
         scores = np.take_along_axis(totals, order, axis=1)
-        parent, tok = np.divmod(order, width)
+        slot, tok = np.divmod(order, width)
+        parent = np.searchsorted(live, slot + k * np.arange(n)[:, None])  # the parent's row
         admissible = scores > -np.inf
-        keep_forced(np.flatnonzero(~admissible[:, 0]))
+        keep_forced(~admissible[:, 0])
         grows = admissible & (tok != END_ID)
         ahead = np.cumsum(grows, axis=1) - grows  # live candidates ranked above
         for s, j in zip(*np.nonzero(admissible & ~grows & (ahead < k))):
-            pools[s].append(hyp(s * k + parent[s, j], scores[s, j], new_state[-1], True))
+            pools[s].append(hyp(parent[s, j], scores[s, j], new_state[-1], True))
         # a source whose best candidate is an end stops (each later step
         # adds log P_f <= 0, so no continuation reaches a higher total)
         src, col = np.nonzero(grows & (ahead < k) & (tok[:, :1] != END_ID))
-        dest = src * k + ahead[src, col]
-        from_row = np.arange(rows)  # empty slots carry their own row along
-        from_row[dest] = src * k + parent[src, col]
-        logp = np.full(rows, -np.inf)
-        logp[dest] = scores[src, col]
-        if not dest.size:
+        rows = parent[src, col]
+        live, logp = src * k + ahead[src, col], scores[src, col]
+        if not live.size:
             break
-        last = np.full(rows, END_ID)
-        last[dest] = tok[src, col]
-        seqs = np.concatenate([seqs[from_row], last[:, None]], axis=1)
-        state = tuple(None if x is None else tensor(x.values[from_row]) for x in new_state)
+        last = tok[src, col]
+        seqs = np.concatenate([seqs[rows], last[:, None]], axis=1)
+        state = tuple(None if x is None else tensor(x.values[rows]) for x in new_state)
         inputs = np.where(last >= cfg.vocab_size, UNK_ID, last)[:, None]
-    keep_forced(range(n))
+        ctx = replace(  # each row reads its source's context row
+            sources,
+            states=tensor(sources.states.values[src]),
+            enc_feat=tensor(sources.enc_feat.values[src]),
+            penalty=tensor(sources.penalty.values[src]),
+            src_ext=sources.src_ext[src],
+        )
+    keep_forced(np.ones(n, dtype=bool))
     for pool in pools:
         pool.sort(key=lambda h: (-h.score, h.tokens))
     return [pool[:k] for pool in pools]

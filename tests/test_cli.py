@@ -489,6 +489,18 @@ class TestDecodeCommand:
         assert rc == EXIT_CONFIG
         assert "no records" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "record,reason", [('{"source": "  "}', "source has no tokens"), ('{"source": 5}', "")]
+    )
+    def test_bad_source_exits_2_naming_its_line(self, trained, tmp_path, capsys, record, reason):
+        src = tmp_path / "in.jsonl"
+        src.write_text('{"source": "a b"}\n\n' + record + "\n")
+        rc = main(
+            ["decode", "--checkpoint", str(trained["checkpoint"]), "--input", str(src)]
+        )
+        assert rc == EXIT_CONFIG
+        assert f"{src}:3: bad input record ({reason}" in capsys.readouterr().err
+
     def test_missing_input_exits_2(self, trained, tmp_path, capsys):
         rc = main(
             [

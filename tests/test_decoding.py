@@ -219,21 +219,30 @@ class TestBeam:
             assert h.logp == pytest.approx(replay, rel=1e-10, abs=1e-10)
 
     def test_coverage_is_own_attention_sum(self):
+        # more than two chunks, so every entry's coverage went through the
+        # row gathers; an end-token bias so that pools mix finished and
+        # forced entries
         cfg, params = fresh()
-        ex = one_example()
-        hyp = beam_search(params, cfg, [ex], beam=2, max_len=5)[0][0]
-        # replay the hypothesis and accumulate attention by hand
-        with no_grad():
-            ctx = encode(params, cfg, make_batch([ex], dtype=cfg.np_dtype))
-            state = ctx.init_state
-            total = np.zeros(len(ex.src_ids))
-            prev = START_ID
-            targets = list(hyp.tokens) + ([END_ID] if hyp.finished else [])
-            for tok in targets:
-                out, state = decode_step(ctx, state, np.array([[prev]]))
-                total += out.alpha.values[0, 0]
-                prev = tok if tok < cfg.vocab_size else UNK_ID
-        np.testing.assert_allclose(hyp.coverage, total, atol=1e-12)
+        params["Out"]["vocab_b"].values[END_ID] += 2.0
+        examples = mixed_corpus(2 * (ROW_BUDGET // 3) + 3)
+        pools = beam_search(params, cfg, examples, beam=3, max_len=5)
+        finished = total = 0
+        for ex, pool in zip(examples, pools):
+            for hyp in pool:
+                # replay the hypothesis and accumulate attention by hand
+                with no_grad():
+                    ctx = encode(params, cfg, make_batch([ex], dtype=cfg.np_dtype))
+                    state = ctx.init_state
+                    own = np.zeros(len(ex.src_ids))
+                    prev = START_ID
+                    for tok in list(hyp.tokens) + ([END_ID] if hyp.finished else []):
+                        out, state = decode_step(ctx, state, np.array([[prev]]))
+                        own += out.alpha.values[0, 0]
+                        prev = tok if tok < cfg.vocab_size else UNK_ID
+                np.testing.assert_allclose(hyp.coverage, own, atol=1e-12)
+                finished += hyp.finished
+                total += 1
+        assert 0 < finished < total
 
     def test_exhaustive_beam_matches_enumeration(self):
         # content alphabet of 3 tokens, length 2: beam 9 must recover the
@@ -302,6 +311,47 @@ class TestBatchedBeam:
             finished += sum(h.finished for h in pool)
             total += len(pool)
         assert 0 < finished < total
+
+    @pytest.mark.parametrize("beam", [1, 4])
+    def test_steps_only_live_rows(self, beam, monkeypatch):
+        # The encoder sees each source once.  Each decoder step sees only the
+        # live hypotheses: as many as the chunk's sources still running hold
+        # at that step when each is decoded alone.
+        cfg, params = fresh()
+        params["Out"]["vocab_b"].values[END_ID] += 2.0  # sources stop at different steps
+        per_chunk = ROW_BUDGET // beam
+        examples = mixed_corpus(2 * per_chunk + 3)
+        encoded, stepped = [], []
+        real_encode, real_step = decoding.encode, decoding.decode_step
+
+        def counting_encode(params, cfg, batch):
+            encoded.append(len(batch.src_ids))
+            stepped.append([])
+            return real_encode(params, cfg, batch)
+
+        def counting_step(ctx, state, ids):
+            stepped[-1].append(len(ids))
+            return real_step(ctx, state, ids)
+
+        monkeypatch.setattr(decoding, "encode", counting_encode)
+        monkeypatch.setattr(decoding, "decode_step", counting_step)
+        solo = []
+        for ex in examples:
+            beam_search(params, cfg, [ex], beam=beam, max_len=8)
+            solo.append(stepped.pop())
+        assert all(rows[0] == 1 and max(rows) <= beam for rows in solo)
+        encoded.clear()
+        beam_search(params, cfg, examples, beam=beam, max_len=8)
+        assert encoded == [per_chunk, per_chunk, 3]
+        assert len(stepped) == 3
+        for c, rows in enumerate(stepped):
+            chunk = solo[c * per_chunk : (c + 1) * per_chunk]
+            assert rows[0] == len(chunk)
+            assert rows == [
+                sum(own[t] for own in chunk if t < len(own)) for t in range(max(map(len, chunk)))
+            ]
+            assert max(rows) <= ROW_BUDGET
+        assert any(len(own) < len(stepped[0]) for own in solo[:per_chunk])
 
     def test_empty_input(self):
         cfg, params = fresh()
