@@ -99,11 +99,12 @@ def load_corpus(path) -> list[Example]:
             continue
         try:
             obj = json.loads(line)
-            examples.append(
-                Example.from_text(obj["source"], obj["target"], obj.get("keywords", ()))
-            )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            ex = Example.from_text(obj["source"], obj["target"], obj.get("keywords", ()))
+        except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
             raise ContractError(f"{path}:{lineno}: bad corpus record ({exc})") from None
+        if not ex.source:
+            raise ContractError(f"{path}:{lineno}: bad corpus record (source has no tokens)")
+        examples.append(ex)
     return examples
 
 
@@ -267,12 +268,20 @@ def make_batch(examples: Sequence[EncodedExample], dtype=np.float64) -> Batch:
 def batches_once(
     examples: Sequence[EncodedExample], batch_size: int, dtype=np.float64
 ) -> list[Batch]:
-    """Split in the given order; the last batch may be short."""
+    """Every example once, in batches of examples of similar length.
+
+    The examples are ordered by source length, then target length, longest
+    first (ties keep their given order), and split in that order; the last
+    batch may be short.  Rows of like length pad little, so a held-out pass
+    does little padded work.  Callers sum over the batches, so the order
+    does not matter to them.
+    """
     if batch_size < 1:
         raise ContractError(f"batches_once: batch_size must be >= 1, got {batch_size}")
+    ranked = sorted(examples, key=lambda e: (-len(e.src_ids), -len(e.tgt_ids)))
     return [
-        make_batch(examples[i : i + batch_size], dtype=dtype)
-        for i in range(0, len(examples), batch_size)
+        make_batch(ranked[i : i + batch_size], dtype=dtype)
+        for i in range(0, len(ranked), batch_size)
     ]
 
 

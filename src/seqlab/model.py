@@ -40,7 +40,8 @@ steps, called from `attention_step`: with coverage on, the op adds each
 step's attention to the coverage the next step reads, and `attention_step`
 returns the coverage after the last step, which travels on in the decoder
 state.  Teacher forcing (`forward_loss`) is one `decode_step` over the
-whole target; beam search and `score_sequence` call it one step at a time.
+whole target, with the target mask so its LSTMs skip padded steps; beam
+search and `score_sequence` call it one step at a time.
 """
 
 from __future__ import annotations
@@ -199,11 +200,13 @@ def lstm_step(
     """One LSTM layer over every step of `x` [B, T, in] from (h, c).
 
     Returns (h after each step [B, T, h], final h, final c), where the final
-    state is the one after the last step run.  Where `keep` [B, T] is 0 the
-    state is frozen (see `lstm`).  With `back`, the weights of a second cell
-    that runs from step T-1 down to 0, the layer is bidirectional: (h, c)
-    and every returned state are [..., 2h], the forward direction's half
-    first, and the backward direction's final state is the one after step 0.
+    state is the one after the last step run.  `keep` [B, T] marks each
+    row's real steps, which come first; only those run, and the state holds
+    over the padded steps (see `lstm`).  With `back`, the weights of a
+    second cell that runs each row's steps from its last down to step 0,
+    the layer is bidirectional: (h, c) and every returned state are
+    [..., 2h], the forward direction's half first, and the backward
+    direction's final state is the one after step 0.
     """
     width = h.shape[-1]
     out = lstm(x, *weights, h, c, keep, back=back)
@@ -373,22 +376,28 @@ def attention_step(
 
 
 def decode_step(
-    ctx: DecodeContext, state: DecoderState, input_ids: np.ndarray
+    ctx: DecodeContext,
+    state: DecoderState,
+    input_ids: np.ndarray,
+    keep: np.ndarray | None = None,
 ) -> tuple[StepOutput, DecoderState]:
     """Run the decoder over `input_ids` [B, T] from `state`.
 
     Returns the outputs of all T steps and the state after the last one,
     whose coverage (None when coverage is off) has each step's attention
     added.  ``input_ids`` must be in-vocabulary: callers map copied OOVs to
-    the unknown id.
+    the unknown id.  With ``keep`` [B, T], a 0/1 mask whose real steps come
+    first in each row, ``D1`` and ``D2`` run only the real steps and hold
+    their state over the padded ones (see `lstm`); attention, the output
+    layers and the copy gate still run at every step.
     """
     params, cfg = ctx.params, ctx.cfg
     if input_ids.max(initial=0) >= cfg.vocab_size:
         raise ContractError("decode_step: input ids must be in-vocabulary")
     h1, c1, h2, c2, coverage = state
     emb = gather(params["Emb"]["table"], input_ids)                            # [B, T, d]
-    out1, h1, c1 = lstm_step(cell_weights(params["D1"], "cell"), emb, h1, c1)
-    out2, h2, c2 = lstm_step(cell_weights(params["D2"], "cell"), out1, h2, c2)  # [B, T, h]
+    out1, h1, c1 = lstm_step(cell_weights(params["D1"], "cell"), emb, h1, c1, keep)
+    out2, h2, c2 = lstm_step(cell_weights(params["D2"], "cell"), out1, h2, c2, keep)  # [B, T, h]
     query = attention_query(params["Attn"], out2)
     alpha, context, started, coverage = attention_step(ctx, query, coverage)
 
@@ -441,7 +450,9 @@ def forward_loss(
 ) -> LossParts:
     """Teacher-forced loss over a batch.
 
-    One `decode_step` over the whole target.  Coverage follows
+    One `decode_step` over the whole target, whose decoder LSTMs skip the
+    padded steps: those weigh 0 in the loss and come after every real step,
+    so nothing a real step computes reads them.  Coverage follows
     ``cfg.use_coverage`` alone; a caller that trains one task with coverage
     and another without passes each its own config.
 
@@ -456,7 +467,7 @@ def forward_loss(
         # copied-OOV references back to the unknown token.
         gold = np.where(gold >= cfg.vocab_size, UNK_ID, gold)
     ctx = encode(params, cfg, batch)
-    out, _ = decode_step(ctx, ctx.init_state, batch.dec_in)
+    out, _ = decode_step(ctx, ctx.init_state, batch.dec_in, batch.dec_mask)
 
     # Each real step weighs 1 / (its example's real steps).
     weights = batch.dec_mask / batch.dec_mask.sum(axis=1, keepdims=True)

@@ -29,9 +29,10 @@ leaf, so the finite-difference probe loop builds no graph.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -441,6 +442,92 @@ def scatter_add(a: Tensor, indices, size: int) -> Tensor:
 # Recurrence
 
 
+_Index = np.ndarray | slice
+
+
+class _Packing(NamedTuple):
+    """Where `lstm` keeps each (row, step) pair; see `_packing`."""
+
+    order: _Index            # [B] the rows, longest first
+    entries: int
+    # Per run step: its entries [lo, hi), the state block it reads from and
+    # the one it writes to, and how many of its rows are still running.
+    spans: list[tuple[int, int, int, int, int]]
+    src: tuple[_Index, ...]  # per direction, [entries] the x[b, t] (as b*T + t) each reads
+    reads: tuple[_Index, ...]  # per direction, [B, T] the state entry each output reads
+    prev: _Index             # [entries] the state entry each entry starts from
+    spares: np.ndarray       # [entries] True where no output reads the entry
+
+
+@functools.lru_cache(maxsize=256)
+def _packing(
+    lengths: tuple[int, ...] | None, bsz: int, steps: int, flips: tuple[bool, ...]
+) -> _Packing:
+    """The packed layout of an `lstm` call whose rows have `lengths` real
+    steps (all `steps` when None); `flips` marks the directions that run
+    backwards in time.  It depends on these alone, and a decoder stepping
+    one token at a time asks for the same few layouts again and again, so
+    they are kept; their arrays are read-only.
+
+    The rows are sorted longest first (stable), and run step s covers the
+    sorted rows [0, n): the rows still running plus, when only one is, the
+    next as a spare whose state no output reads, so no step is a one-row
+    product while the batch has two rows.  The packed entries are those
+    (step, sorted row) pairs in step order.  The state array holds the
+    start states (sorted rows) and then every entry's state.
+    """
+    lengths = np.full(bsz, steps) if lengths is None else np.array(lengths)
+    order = np.argsort(-lengths, kind="stable")
+    ranked = lengths[order]
+    t_run = np.arange(ranked[0] if bsz else 0)[:, None]
+    running = ranked > t_run
+    grid = running.copy()
+    grid[:, :2] = True
+    offs = np.concatenate([[0], np.cumsum(grid.sum(axis=1))])
+    blocks = np.concatenate([[0], bsz + offs])
+    # A reversed direction reads a row's real steps last to first; a
+    # spare reads its row at a padded position, so no two entries of a
+    # direction read the same one.
+    base = order * steps
+    src = tuple(
+        (base + (np.where(running, ranked - 1 - t_run, t_run) if flip else t_run))[grid]
+        for flip in flips
+    )
+    # A real output position reads its own entry; a padded one the state
+    # it holds: forward, the row's last entry, reversed, its start state
+    # (block 0), as for a row with no real step.
+    rank = np.argsort(order)[:, None]
+    last = lengths[:, None] - 1
+    t = np.arange(steps)
+    reads = tuple(
+        blocks[(np.maximum(last - t, -1) if flip else np.minimum(t, last)) + 1] + rank
+        for flip in flips
+    )
+    prev = (blocks[:-2, None] + np.arange(bsz))[grid]
+    spares = ~running[grid]
+    spares.flags.writeable = False
+    spans = list(zip(offs[:-1], offs[1:], blocks[:-2], blocks[1:-1], running.sum(axis=1)))
+    return _Packing(
+        _index(order),
+        int(offs[-1]),
+        [tuple(map(int, span)) for span in spans],
+        tuple(map(_index, src)),
+        tuple(map(_index, reads)),
+        _index(prev),
+        spares,
+    )
+
+
+def _index(idx: np.ndarray) -> _Index:
+    """`idx` made read-only, or the slice it equals when it counts up by
+    one (as without padding, at one step), which indexes without a copy."""
+    flat = idx.ravel()
+    if flat.size and np.array_equal(flat, np.arange(flat[0], flat[0] + flat.size)):
+        return slice(int(flat[0]), int(flat[0]) + flat.size)
+    idx.flags.writeable = False
+    return idx
+
+
 def lstm(
     x: Tensor,
     w: Tensor,
@@ -461,28 +548,33 @@ def lstm(
         z = x_t w + b + h u,  i, f, o = sigmoid(z_i, z_f, z_o),  g = tanh(z_g),
         c = f * c + i * g,    h = o * tanh(c)
 
-    and where the constant 0/1 mask `keep` [B, T] is 0 the row's h and c
-    stay exactly as they were, so a row's last state belongs to its last
-    real step.  `reverse` runs t from T-1 down to 0.
+    The constant 0/1 mask `keep` [B, T] marks each row's real steps, which
+    must come first in the row (a row may have none); without it every step
+    is real.  Only real steps are run.  `reverse` runs each row's real steps
+    from its last down to step 0.  At a padded position the output holds a
+    state: forward, the one after the row's last real step; reversed, the
+    start state.
 
     `back`, a second cell's (w, u, b), adds a second direction that runs the
     opposite way over the same inputs and mask: with `reverse` False, the
-    two directions of a bidirectional layer.  Both run in the same loop: the
-    opposite direction is fed the time-flipped input projection and mask,
-    so each step is one stacked [2, B, h] @ [2, h, 4h] recurrent product,
-    forward and backward.  `h0` and `c0` are then [B, 2h], the first
-    direction's start state followed by the second's.
+    two directions of a bidirectional layer.  `h0` and `c0` are then
+    [B, 2h], the first direction's start state followed by the second's.
 
     Returns the state after each step, [B, T, 2h] for one direction and
     [B, T, 4h] for two: every direction's h side by side in the first half
-    of the last axis, and their c in the same order in the second.  The
-    input projection of all steps is one matmul per direction.  The
-    backward pass is one reverse sweep that keeps each step's gate
-    adjoints, then forms the gradients of `x`, `w`, `u` and `b` with one
-    product each over all B*T rows; `keep` gets no adjoint.
+    of the last axis, and their c in the same order in the second.
+
+    The work is packed over real steps (see `_packing`): with the rows
+    sorted longest first, the rows still running at run step s are a prefix
+    in every direction, and each step is one stacked [D, n, h] @ [D, h, 4h]
+    recurrent product over those n rows.  The input projection is one
+    matmul per direction over the real steps.  The backward pass is one
+    reverse sweep that keeps each step's gate adjoints, then forms the
+    gradients of `x`, `w`, `u` and `b` with one product each over the real
+    steps; `keep` gets no adjoint.
     """
     cells = ((w, u, b),) if back is None else ((w, u, b), tuple(back))
-    flips = (reverse, not reverse)[: len(cells)]  # directions fed time-flipped
+    flips = (reverse, not reverse)[: len(cells)]  # directions that run backwards in time
     dirs = len(cells)
     xv, h0v, c0v = x.values, h0.values, c0.values
     if xv.ndim != 3:
@@ -493,114 +585,116 @@ def lstm(
     expected = ((in_dim, 4 * hid), (hid, 4 * hid), (4 * hid,)) * dirs + ((bsz, dirs * hid),) * 2
     if shapes != expected:
         raise DimensionError("lstm", xv.shape, *shapes)
-
-    def run_order(a: np.ndarray, flip: bool) -> np.ndarray:
-        """A time-major array in the order a direction runs its steps, or
-        back: steps reversed for a direction fed time-flipped."""
-        return a[::-1] if flip else a
-
-    frozen = [False] * steps  # steps where some row of some direction holds its state
+    lengths = None
     if keep is not None:
         if keep.shape != (bsz, steps):
             raise DimensionError("lstm", xv.shape, keep.shape)
-        hold = np.stack([run_order(keep.T == 0, flip) for flip in flips], axis=1)  # [T, D, B]
-        frozen = hold.any(axis=(1, 2)).tolist()
-    rows = bsz * steps
+        real = keep != 0
+        lengths = real.sum(axis=1)
+        if not np.array_equal(real, np.arange(steps) < lengths[:, None]):
+            raise ContractError("lstm: the real steps of every row must come first")
+        lengths = tuple(lengths.tolist())
+    pack = _packing(lengths, bsz, steps, flips)
+    order, packed, src = pack.order, pack.entries, pack.src
+    run = np.empty((dirs, bsz + packed, 2 * hid), dtype=np.result_type(xv, w.values))
+    h_all, c_all = run[..., :hid], run[..., hid:]
+    h_all[:, :bsz] = h0v[order].reshape(bsz, dirs, hid).swapaxes(0, 1)
+    c_all[:, :bsz] = c0v[order].reshape(bsz, dirs, hid).swapaxes(0, 1)
+
     # sigmoid(z) = (1 + tanh(z / 2)) / 2, so one tanh serves all four gates:
     # halve the i, f, o pre-activations (exact in binary floating point),
     # then map those gates from [-1, 1] onto [0, 1].
-    half = np.full(4 * hid, 0.5, dtype=np.result_type(xv, w.values))
+    half = np.full(4 * hid, 0.5, dtype=run.dtype)
     half[2 * hid : 3 * hid] = 1.0
     shift = half.copy()
     shift[2 * hid : 3 * hid] = 0.0
-    # Every direction's projections, gates and states, time-major in the
-    # order it runs its steps, so each step reads and writes one block.
-    proj = np.empty((steps, dirs, bsz, 4 * hid), dtype=half.dtype)
-    for d, ((wd, _, bd), flip) in enumerate(zip(cells, flips)):
-        p = (xv.reshape(rows, in_dim) @ wd.values + bd.values) * half
-        proj[:, d] = run_order(p.reshape(bsz, steps, 4 * hid).swapaxes(0, 1), flip)
+    x_flat = xv.reshape(bsz * steps, in_dim)
+    x_run = [x_flat[idx] for idx in src]  # each direction's inputs, packed
+    # Gate activations i, f, g, o of every entry, first holding the input
+    # projections.
+    acts = np.empty((dirs, packed, 4 * hid), dtype=run.dtype)
+    for d, ((wd, _, bd), xd) in enumerate(zip(cells, x_run)):
+        np.matmul(xd, wd.values, out=acts[d])
+        acts[d] += bd.values
+        acts[d] *= half
     u_half = np.stack([ud.values * half for _, ud, _ in cells])
-    acts = np.empty_like(proj)  # gate activations i, f, g, o of every step
     i, f, cell, o = (acts[..., k * hid : (k + 1) * hid] for k in range(4))
-    run = np.empty((steps, dirs, bsz, 2 * hid), dtype=proj.dtype)
-    h_out, c_out = run[..., :hid], run[..., hid:]
-    h_start = h0v.reshape(bsz, dirs, hid).swapaxes(0, 1)
-    c_start = c0v.reshape(bsz, dirs, hid).swapaxes(0, 1)
-    h, c = h_start, c_start
-    for t in range(steps):
-        a = acts[t]
-        np.matmul(h, u_half, out=a)
-        a += proj[t]
+    for lo, hi, prev, at, _ in pack.spans:
+        n = hi - lo
+        a = acts[:, lo:hi]
+        a += h_all[:, prev : prev + n] @ u_half
         np.tanh(a, out=a)
         a *= half
         a += shift
-        h_new, c_new = h_out[t], c_out[t]
-        np.multiply(f[t], c, out=c_new)
-        c_new += i[t] * cell[t]
+        h_new, c_new = h_all[:, at : at + n], c_all[:, at : at + n]
+        np.multiply(f[:, lo:hi], c_all[:, prev : prev + n], out=c_new)
+        c_new += i[:, lo:hi] * cell[:, lo:hi]
         np.tanh(c_new, out=h_new)
-        h_new *= o[t]
-        if frozen[t]:
-            np.copyto(h_new, h, where=hold[t, ..., None])
-            np.copyto(c_new, c, where=hold[t, ..., None])
-        h, c = h_new, c_new
+        h_new *= o[:, lo:hi]
+
     out = np.empty((bsz, steps, 2, dirs, hid), dtype=run.dtype)
-    for d, flip in enumerate(flips):
-        out[:, :, :, d] = run_order(run[:, d], flip).swapaxes(0, 1).reshape(bsz, steps, 2, hid)
+    for d, idx in enumerate(pack.reads):
+        out[:, :, :, d] = run[d, idx].reshape(bsz, steps, 2, hid)
     out = out.reshape(bsz, steps, 2 * dirs * hid)
 
     def vjp(g):
-        g_run = np.empty((steps, dirs, bsz, 2 * hid), dtype=g.dtype)
-        g_dirs = g.reshape(bsz, steps, 2, dirs, hid)
-        for d, flip in enumerate(flips):
-            gd = g_dirs[:, :, :, d].swapaxes(0, 1)
-            g_run[:, d] = run_order(gd, flip).reshape(steps, bsz, 2 * hid)
-        # The state each step started from, in the same layout.
-        h_in = np.concatenate([h_start[None], h_out[:-1]])
-        c_in = np.concatenate([c_start[None], c_out[:-1]])
-        # On a frozen step c_out is the old state, not the step's own cell,
-        # but that step's adjoints are zero, so the value never counts.
-        tanh_c = np.tanh(c_out)
+        g5 = g.reshape(bsz, steps, 2, dirs, hid)
+        # Each entry's output adjoint (a spare's is never read) ...
+        g_run = np.stack(
+            [g5[:, :, :, d].reshape(bsz * steps, 2 * hid)[idx] for d, idx in enumerate(src)]
+        )
+        # ... and, per row, the summed adjoint of its padded positions.
+        if keep is None:
+            tail = np.zeros((dirs, bsz, 2 * hid), dtype=g.dtype)
+        else:
+            held = (~real).astype(g.dtype)[:, None, :]
+            tail = (held @ g.reshape(bsz, steps, -1))[:, 0].reshape(bsz, 2, dirs, hid)
+            tail = tail.transpose(2, 0, 1, 3).reshape(dirs, bsz, 2 * hid)[:, order]
+        # The state each entry started from.
+        h_in = run[:, pack.prev]
+        c_in = h_in[..., hid:]
+        tanh_c = np.tanh(c_all[:, bsz:])
         dc_per_dh = o * (1.0 - tanh_c * tanh_c)
         # Pre-activation adjoints of the i, f, g gates per unit adjoint of
-        # the step's cell, and of the o gate per unit adjoint of its h.
+        # the entry's cell, and of the o gate per unit adjoint of its h.
         per_dc = np.stack(
             [cell * i * (1.0 - i), c_in * f * (1.0 - f), i * (1.0 - cell * cell)], axis=-2
         )
         per_dh = tanh_c * o * (1.0 - o)
-        dz = np.empty((steps, dirs, bsz, 4, hid), dtype=g.dtype)
-        dh = np.zeros((dirs, bsz, hid), dtype=g.dtype)
-        dc = np.zeros((dirs, bsz, hid), dtype=g.dtype)
+        dz = np.empty((dirs, packed, 4, hid), dtype=g.dtype)
+        dz[:, pack.spares] = 0.0
+        # A forward direction's padded positions hold its last state, so
+        # their adjoint joins that state's; a reversed one's joins h0, c0.
+        flipped = np.asarray(flips)[:, None, None]
+        carry = np.where(flipped, 0.0, tail)
+        dh, dc = carry[..., :hid], carry[..., hid:]
         ut = np.stack([ud.values.T for _, ud, _ in cells])
         g_h, g_c = g_run[..., :hid], g_run[..., hid:]
         dz_cell, dz_h = dz[..., :3, :], dz[..., 3, :]
-        for t in range(steps - 1, -1, -1):
-            dh = dh + g_h[t]
-            dc = dc + g_c[t]
-            if frozen[t]:
-                # A held row passes its adjoints through the step untouched.
-                k = hold[t, ..., None]
-                dh_held, dc_held = dh, dc
-                dh, dc = np.where(k, 0.0, dh), np.where(k, 0.0, dc)
-            dc = dc + dh * dc_per_dh[t]
-            np.multiply(per_dc[t], dc[..., None, :], out=dz_cell[t])
-            np.multiply(per_dh[t], dh, out=dz_h[t])
-            dh = dz[t].reshape(dirs, bsz, 4 * hid) @ ut
-            dc = dc * f[t]
-            if frozen[t]:
-                dh = np.where(k, dh_held, dh)
-                dc = np.where(k, dc_held, dc)
+        for lo, _, _, _, n in reversed(pack.spans):
+            hi = lo + n
+            dh_n, dc_n = dh[:, :n], dc[:, :n]
+            dh_n += g_h[:, lo:hi]
+            dc_n += g_c[:, lo:hi]
+            dc_n += dh_n * dc_per_dh[:, lo:hi]
+            np.multiply(per_dc[:, lo:hi], dc_n[..., None, :], out=dz_cell[:, lo:hi])
+            np.multiply(per_dh[:, lo:hi], dh_n, out=dz_h[:, lo:hi])
+            np.matmul(dz[:, lo:hi].reshape(dirs, n, 4 * hid), ut, out=dh_n)
+            dc_n *= f[:, lo:hi]
+        start_grad = np.empty_like(carry)
+        start_grad[:, order] = carry + np.where(flipped, tail, 0.0)
+        start_grad = start_grad.reshape(dirs, bsz, 2, hid).transpose(1, 2, 0, 3)
+        start_grad = start_grad.reshape(bsz, 2, dirs * hid)
+        dx = np.zeros((bsz * steps, in_dim), dtype=g.dtype)
         grads = []
-        dx = 0.0
-        for d, ((wd, _, _), flip) in enumerate(zip(cells, flips)):
-            # Back to [B, T] order, so the weight products sum rows in time order.
-            dz2 = run_order(dz[:, d], flip).swapaxes(0, 1).reshape(rows, 4 * hid)
-            dx = dx + (dz2 @ wd.values.T).reshape(xv.shape)
-            dw = xv.reshape(rows, in_dim).T @ dz2
-            du = run_order(h_in[:, d], flip).swapaxes(0, 1).reshape(rows, hid).T @ dz2
-            grads.append((dw, du, dz2.sum(axis=0)))
-        dh0 = dh.swapaxes(0, 1).reshape(bsz, dirs * hid)
-        dc0 = dc.swapaxes(0, 1).reshape(bsz, dirs * hid)
-        return (dx, *grads[0], dh0, dc0, *(grads[1] if back is not None else ()))
+        for d, ((wd, _, _), xd, idx) in enumerate(zip(cells, x_run, src)):
+            dz2 = dz[d].reshape(packed, 4 * hid)
+            dx[idx] += dz2 @ wd.values.T
+            grads.append((xd.T @ dz2, h_in[d, :, :hid].T @ dz2, dz2.sum(axis=0)))
+        return (
+            dx.reshape(xv.shape), *grads[0], start_grad[:, 0], start_grad[:, 1],
+            *(grads[1] if back is not None else ()),
+        )
 
     return _record(out, "lstm", (x, w, u, b, h0, c0, *(back or ())), vjp)
 

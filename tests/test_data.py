@@ -150,6 +150,20 @@ class TestBatching:
         parts = batches_once(enc, 2)
         assert [b.size for b in parts] == [2, 2, 1]
 
+    def test_batches_once_in_length_order(self, vocab):
+        rng = np.random.default_rng(4)
+        pairs = [
+            (["a"] * int(rng.integers(1, 8)), ["b"] * int(rng.integers(1, 8))) for _ in range(11)
+        ]
+        parts = batches_once(self.make(vocab, pairs), 3)
+        lengths = [
+            (int(s), int(t) - 1)  # the decoder mask counts the end token
+            for b in parts
+            for s, t in zip(b.src_mask.sum(axis=1), b.dec_mask.sum(axis=1))
+        ]
+        assert sorted(lengths) == sorted((len(s), len(t)) for s, t in pairs)
+        assert lengths == sorted(lengths, reverse=True)
+
     def test_iterator_deterministic_under_seed(self, vocab):
         enc = self.make(vocab, [([t], [t]) for t in ["a", "b", "c", "a", "b", "c"]])
         a = batch_iterator(enc, 2, np.random.default_rng(5))
@@ -177,6 +191,21 @@ class TestCorpusIO:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"source": "a b", "target": "a"}\n{"nope": 1}\n')
         with pytest.raises(ContractError, match=":2"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"source": 5, "target": "a"}',
+            '{"source": "a", "target": ["a"]}',
+            '{"source": "", "target": "a"}',
+        ],
+        ids=["int-source", "list-target", "empty-source"],
+    )
+    def test_bad_field_reports_line(self, tmp_path, record):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"source": "a b", "target": "a"}\n' + record + "\n")
+        with pytest.raises(ContractError, match=f"{path.name}:2: bad corpus record"):
             load_corpus(path)
 
     def test_load_sources_accepts_targetless_records(self, tmp_path):

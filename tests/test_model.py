@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import TINY_SPEC, tiny_batch, tiny_config
+from conftest import TINY_SPEC, tiny_batch, tiny_config, tiny_examples
 from seqlab import model as model_module
 from seqlab.data import UNK_ID, encode_example, make_batch, Example
 from seqlab.errors import ContractError
@@ -190,6 +190,35 @@ class TestPaddingInvariance:
         src_len = alpha_a.shape[-1]
         np.testing.assert_allclose(alpha_a, alpha_b[..., :src_len], atol=1e-9)
         assert (alpha_b[..., src_len:] == 0).all()
+
+
+    @pytest.mark.parametrize("use_coverage", [True, False], ids=["coverage", "nocoverage"])
+    def test_batch_equals_mean_of_single_examples(self, use_coverage):
+        """Padding is inert: the loss of a ragged batch, and every parameter
+        gradient, equal the mean over its examples run one per batch."""
+        cfg = tiny_config(use_coverage=use_coverage)
+        params = single_task_params(cfg, seed=6, init_range=0.5)
+        spec = dataclasses.replace(TINY_SPEC, min_len=2, max_len=9)
+        examples = tiny_examples(n=6, seed=3, spec=spec)
+        assert len({len(e.src_ids) for e in examples}) >= 4, "sources must be ragged"
+        assert len({len(e.tgt_ids) for e in examples}) >= 4, "targets must be ragged"
+        flat = params.flat()
+
+        def loss_and_gradients(batch):
+            total = forward_loss(params.groups, cfg, batch).total
+            grads = backward(total, wrt=flat.values())
+            return total.item(), {k: grads[t] for k, t in flat.items()}
+
+        got, got_g = loss_and_gradients(make_batch(examples))
+        singles = [loss_and_gradients(make_batch([e])) for e in examples]
+        want = np.mean([loss for loss, _ in singles])
+        want_g = {k: np.mean([g[k] for _, g in singles], axis=0) for k in flat}
+        assert abs(got - want) <= 1e-12 * abs(want)
+        # As in TestWholeTargetLoss: each array is held to the largest entry
+        # of the whole gradient.
+        scale_ = max(np.abs(g).max() for g in want_g.values())
+        for name in flat:
+            assert np.abs(got_g[name] - want_g[name]).max() <= 1e-12 * scale_, name
 
 
 class TestLossValues:
@@ -397,7 +426,8 @@ class TestAttentionOp:
 
 def stepwise_loss(params, cfg, batch, cov_weight=1.0):
     """The oracle for `forward_loss`: the teacher-forced loss built from one
-    `decode_step` call per target step, with attention built by
+    `decode_step` call per target step (given that step's column of the
+    target mask), with attention built by
     `composite_attention` in place of the fused op, and each step's terms
     masked and summed in order.  The coverage term reads a running sum of
     the steps' attention kept here, not the decoder's own coverage.
@@ -414,9 +444,12 @@ def stepwise_loss(params, cfg, batch, cov_weight=1.0):
     coverage = tensor(np.zeros((bsz, 1, batch.src_ids.shape[1]), dtype=dt))
     nll_acc = cov_acc = None
     outs = []
+    # Each step's input and mask, as `forward_loss` passes them: a row's
+    # decoder state holds over its padded steps.
+    steps = (batch.dec_in, batch.dec_mask)
     for t in range(dec_len):
         with mock.patch.object(model_module, "attention", composite_attention):
-            out, state = decode_step(ctx, state, batch.dec_in[:, t : t + 1])
+            out, state = decode_step(ctx, state, *(a[:, t : t + 1] for a in steps))
         mask = tensor(batch.dec_mask[:, t : t + 1].astype(dt))
         logp = multiply(step_nll(out.final_dist, gold[:, t : t + 1]), mask)
         nll_acc = logp if nll_acc is None else add(nll_acc, logp)
@@ -634,6 +667,10 @@ def per_gate_lstm(x, w, u, b, h0, c0, keep=None, reverse=False):
     return reshape(concat(outs), (bsz, steps, 2 * hid))
 
 
+# Six rows of distinct lengths, unsorted: one row has no real step, steps
+# 4 and 5 have exactly one row running, and step 6 none.
+RAGGED = (2, 6, 0, 4, 1, 3)
+
 # (name, steps, real tokens per row or None, reverse, zero start state)
 LSTM_CASES = [
     ("forward", 5, None, False, True),
@@ -642,10 +679,15 @@ LSTM_CASES = [
     ("padded-reverse", 5, (5, 3, 1), True, True),
     ("one-step", 1, None, False, False),
     ("one-step-padded", 1, (1, 0, 1), False, False),
+    ("ragged-forward", 7, RAGGED, False, False),
+    ("ragged-reverse", 7, RAGGED, True, False),
 ]
 
 
 def lstm_inputs(steps, lengths, zero_start, in_dim=4, hid=3, bsz=3, seed=0):
+    """Random inputs; with `lengths`, one row per entry and the keep mask."""
+    if lengths is not None:
+        bsz = len(lengths)
     rng = np.random.default_rng(seed)
     arrays = {
         "x": rng.normal(size=(bsz, steps, in_dim)),
@@ -712,6 +754,13 @@ class TestFusedLSTM:
         assert rel_diff(out.values.astype(np.float64), oracle) <= 1e-5
 
 
+def test_lstm_rejects_real_steps_after_padding():
+    arrays, _ = lstm_inputs(3, None, zero_start=True)
+    keep = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ContractError, match="lstm"):
+        lstm(*(tensor(arrays[k]) for k in TestFusedLSTM.ORDER), keep)
+
+
 @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
 def test_lstm_padded_steps_hold_the_state_exactly(reverse):
     lengths = (5, 3, 1)
@@ -732,6 +781,7 @@ BIDIRECTIONAL_CASES = [
     ("padded-one-token-row", 5, (5, 3, 1), True),
     ("padded-loaded-start", 5, (5, 3, 1), False),
     ("one-step", 1, None, False),
+    ("ragged", 7, RAGGED, False),
 ]
 BIDIRECTIONAL_ORDER = ("x", "w", "u", "b", "h0", "c0", "bw", "bu", "bb")
 
@@ -753,14 +803,14 @@ def bidirectional(leaves, keep):
     return lstm(x, w, u, b, h0, c0, keep, back=(bw, bu, bb))
 
 
-def two_one_direction_runs(leaves, keep):
-    """A forward and a reverse `lstm` call, laid out like one call with both:
-    the two h, then the two c."""
+def two_one_direction_runs(leaves, keep, op=lstm):
+    """A forward and a reverse `op` call (`lstm` or `per_gate_lstm`), laid
+    out like one `lstm` call with both: the two h, then the two c."""
     x, w, u, b, h0, c0, bw, bu, bb = (leaves[k] for k in BIDIRECTIONAL_ORDER)
     hid = u.shape[0]
     first, second = (slice(None), slice(None, hid)), (slice(None), slice(hid, None))
-    fwd = lstm(x, w, u, b, getitem(h0, first), getitem(c0, first), keep)
-    bwd = lstm(x, bw, bu, bb, getitem(h0, second), getitem(c0, second), keep, reverse=True)
+    fwd = op(x, w, u, b, getitem(h0, first), getitem(c0, first), keep)
+    bwd = op(x, bw, bu, bb, getitem(h0, second), getitem(c0, second), keep, reverse=True)
     h, c = (..., slice(None, hid)), (..., slice(hid, None))
     return concat([getitem(fwd, h), getitem(bwd, h), getitem(fwd, c), getitem(bwd, c)])
 
@@ -809,3 +859,20 @@ class TestBidirectionalLSTM:
         arrays, keep = bidirectional_inputs(steps, lengths, zero_start)
         report = gradient_check(self.weighted_loss(bidirectional, keep), arrays, tolerance=1e-6)
         assert report.passed, report.summary()
+
+    def test_values_match_per_gate_cells(self, steps, lengths, zero_start):
+        arrays, keep = bidirectional_inputs(steps, lengths, zero_start)
+        leaves = {k: tensor(v) for k, v in arrays.items()}
+        oracle = two_one_direction_runs(leaves, keep, per_gate_lstm).values
+        assert rel_diff(bidirectional(leaves, keep).values, oracle) <= 1e-12
+
+    def test_gradients_match_per_gate_cells(self, steps, lengths, zero_start):
+        arrays, keep = bidirectional_inputs(steps, lengths, zero_start)
+        per_gate = lambda leaves, keep: two_one_direction_runs(leaves, keep, per_gate_lstm)
+        grads = []
+        for op in (bidirectional, per_gate):
+            leaves = {k: tensor(v) for k, v in arrays.items()}
+            got = backward(self.weighted_loss(op, keep)(leaves), wrt=leaves.values())
+            grads.append({k: got[t] for k, t in leaves.items()})
+        for k in BIDIRECTIONAL_ORDER:
+            assert rel_diff(grads[0][k], grads[1][k]) <= 1e-12, k
