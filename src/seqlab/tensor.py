@@ -591,10 +591,10 @@ def lstm(
         if keep.shape != (bsz, steps):
             raise DimensionError("lstm", xv.shape, keep.shape)
         real = keep != 0
-        lengths = real.sum(axis=1)
-        if not np.array_equal(real, np.arange(steps) < lengths[:, None]):
+        counts = real.sum(axis=1)
+        if not np.array_equal(real, np.arange(steps) < counts[:, None]):
             raise ContractError("lstm: the real steps of every row must come first")
-        lengths = tuple(lengths.tolist())
+        lengths = tuple(counts.tolist())
     pack = _packing(lengths, bsz, steps, flips)
     order, packed, src = pack.order, pack.entries, pack.src
     run = np.empty((dirs, bsz + packed, 2 * hid), dtype=np.result_type(xv, w.values))
