@@ -452,7 +452,7 @@ class _Packing(NamedTuple):
     entries: int
     # Per run step: its entries [lo, hi), the state block it reads from and
     # the one it writes to, and how many of its rows are still running.
-    spans: list[tuple[int, int, int, int, int]]
+    spans: tuple[tuple[int, int, int, int, int], ...]
     src: tuple[_Index, ...]  # per direction, [entries] the x[b, t] (as b*T + t) each reads
     reads: tuple[_Index, ...]  # per direction, [B, T] the state entry each output reads
     prev: _Index             # [entries] the state entry each entry starts from
@@ -511,7 +511,7 @@ def _packing(
     return _Packing(
         _index(order),
         int(offs[-1]),
-        [tuple(map(int, span)) for span in spans],
+        tuple(tuple(map(int, span)) for span in spans),
         tuple(map(_index, src)),
         tuple(map(_index, reads)),
         _index(prev),
