@@ -92,7 +92,11 @@ class Example:
 
 
 def load_corpus(path) -> list[Example]:
-    """Read a jsonl corpus: one {source, target[, keywords]} object per line."""
+    """Read a jsonl corpus: one {source, target[, keywords]} object per line.
+
+    A record whose source or target has no tokens is rejected, naming its
+    line.
+    """
     examples = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
@@ -102,8 +106,9 @@ def load_corpus(path) -> list[Example]:
             ex = Example.from_text(obj["source"], obj["target"], obj.get("keywords", ()))
         except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
             raise ContractError(f"{path}:{lineno}: bad corpus record ({exc})") from None
-        if not ex.source:
-            raise ContractError(f"{path}:{lineno}: bad corpus record (source has no tokens)")
+        for side in ("source", "target"):
+            if not getattr(ex, side):
+                raise ContractError(f"{path}:{lineno}: bad corpus record ({side} has no tokens)")
         examples.append(ex)
     return examples
 

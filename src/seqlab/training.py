@@ -21,6 +21,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, restore_task_params, save_checkpoint
 from .data import (
+    Batch,
     EncodedExample,
     Example,
     TaskCorpora,
@@ -396,6 +397,55 @@ def _acquire_lock(run_dir: Path) -> Path:
     return lock
 
 
+def _train_step(
+    registry: ParamRegistry,
+    task: str,
+    cfg: ModelConfig,
+    batch: Batch,
+    adam: AdamState,
+    lr: float,
+    tconf: TrainConfig,
+) -> dict[str, float]:
+    """One optimizer step of `task` on `batch`: the fields of its log record.
+
+    Every array the step makes (the tape, the adjoints, the penalty and the
+    clipped gradients) is a local here, so it is freed when the step
+    returns, before the next step, a validation pass or a checkpoint write.
+    The soft penalty runs after `backward`, once the tape is gone; it reads
+    only the parameters, which `backward` does not change.  A record whose
+    `total` is not finite holds nothing else, and its step updated nothing:
+    a non-finite model loss stops before `backward`.
+    """
+    params = registry.task(task)
+    parts = forward_loss(params, cfg, batch, cov_weight=tconf.cov_weight)
+    model_total = float(parts.total.values)
+    if not math.isfinite(model_total):
+        return {"total": model_total}
+    wrt = params.flat()
+    adjoint = backward(parts.total, wrt=wrt.values())
+    grads = {k: adjoint[t] for k, t in wrt.items()}
+    nll = float(parts.nll.values)
+    l_cov = float(parts.coverage.values) if parts.coverage is not None else 0.0
+    del parts, adjoint
+
+    penalty_value, penalty_grads = registry.soft_penalty(task)
+    total = model_total + penalty_value
+    if not math.isfinite(total):
+        return {"total": total}
+    for (tag, name), extra in penalty_grads.items():
+        key = f"{tag}/{name}"
+        grads[key] = grads[key] + extra
+    grads, grad_norm = clip_gradients(grads, tconf.clip_norm)
+    adam_step(wrt, grads, adam, lr)
+    return {
+        "grad_norm": grad_norm,
+        "nll": nll,
+        "l_cov": l_cov,
+        "soft_penalty": penalty_value,
+        "total": total,
+    }
+
+
 def train(
     cfg: ModelConfig,
     tconf: TrainConfig,
@@ -418,8 +468,13 @@ def train(
     phased run the checkpoint of the switch step records none, because that
     step still trained without coverage.
 
+    Each step runs in `_train_step`, so its arrays (the tape, the adjoints,
+    the penalty and the clipped gradients) are released before the next
+    step, a validation pass or a checkpoint write; the soft penalty is
+    computed after `backward`.
+
     A non-finite loss aborts the run with NumericError; checkpoints already
-    on disk are kept.
+    on disk are kept.  A non-finite model loss aborts before `backward`.
     """
     if len(tasks) != len(tconf.ratios):
         raise ContractError(
@@ -432,7 +487,6 @@ def train(
         raise ContractError("coverage_mode 'phased' needs coverage: set model.use_coverage to true")
     by_name = {t.name: t for t in tasks}
     params = {name: registry.task(name) for name in names}  # validates registration
-    flat = {name: params[name].flat() for name in names}
 
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -515,42 +569,17 @@ def train(
                 task = next(schedule)
                 # The tasks this step trains with coverage; checkpoints record them.
                 covered = [n for n in names if task_cfg[n].use_coverage]
-                batch = next(iters[task])
-                parts = forward_loss(
-                    params[task], task_cfg[task], batch, cov_weight=tconf.cov_weight
+                record = _train_step(
+                    registry, task, task_cfg[task], next(iters[task]), adam[task], lr, tconf
                 )
-                penalty_value, penalty_grads = registry.soft_penalty(task)
-                total_value = float(parts.total.values) + penalty_value
-
-                if not math.isfinite(total_value):
-                    _log(log, kind="abort", step=step, task=task, total=total_value)
+                if not math.isfinite(record["total"]):
+                    _log(log, kind="abort", step=step, task=task, total=record["total"])
                     raise NumericError(
                         f"training diverged at step {step} on task {task!r} "
-                        f"(loss {total_value}); last-good checkpoints kept in "
+                        f"(loss {record['total']}); last-good checkpoints kept in "
                         f"{run_dir / CHECKPOINT_DIR}"
                     )
-
-                wrt = flat[task]
-                adjoint = backward(parts.total, wrt=wrt.values())
-                grads = {k: adjoint[t] for k, t in wrt.items()}
-                for (tag, name), extra in penalty_grads.items():
-                    key = f"{tag}/{name}"
-                    grads[key] = grads[key] + extra
-                grads, grad_norm = clip_gradients(grads, tconf.clip_norm)
-                adam_step(wrt, grads, adam[task], lr)
-
-                _log(
-                    log,
-                    kind="train",
-                    step=step,
-                    task=task,
-                    lr=lr,
-                    grad_norm=grad_norm,
-                    nll=float(parts.nll.values),
-                    l_cov=float(parts.coverage.values) if parts.coverage is not None else 0.0,
-                    soft_penalty=penalty_value,
-                    total=total_value,
-                )
+                _log(log, kind="train", step=step, task=task, lr=lr, **record)
 
                 if step % tconf.val_every == 0:
                     primary_loss = None

@@ -164,6 +164,19 @@ class TestTrainCommand:
         assert rc == EXIT_CONFIG
         assert str(tmp_path / "train.jsonl") in err
 
+    def test_corpus_record_without_target_exits_2_naming_its_line(self, tmp_path, capsys):
+        corp = write_corpora(tmp_path)
+        train_path = tmp_path / "train.jsonl"
+        with open(train_path, "a") as fh:
+            fh.write('{"source": "a b", "target": "  "}\n')
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(base_config(tmp_path)))
+        rc = main(["train", "--config", str(p)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        line = len(corp.train) + 1
+        assert f"{train_path}:{line}: bad corpus record (target has no tokens)" in err
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         rc = main(["train", "--config", str(tmp_path / "absent.json")])
         assert rc == EXIT_CONFIG

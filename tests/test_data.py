@@ -199,8 +199,9 @@ class TestCorpusIO:
             '{"source": 5, "target": "a"}',
             '{"source": "a", "target": ["a"]}',
             '{"source": "", "target": "a"}',
+            '{"source": "a b", "target": "  "}',
         ],
-        ids=["int-source", "list-target", "empty-source"],
+        ids=["int-source", "list-target", "empty-source", "empty-target"],
     )
     def test_bad_field_reports_line(self, tmp_path, record):
         path = tmp_path / "bad.jsonl"

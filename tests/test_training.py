@@ -6,6 +6,7 @@ import math
 import os
 import re
 import socket
+import weakref
 
 import numpy as np
 import pytest
@@ -594,7 +595,15 @@ class TestTrainLoop:
                     return dataclasses.replace(parts, total=tensor(bad))
             return parts
 
+        real_backward = training.backward
+        backward_calls = []
+
+        def counted_backward(root, **kw):
+            backward_calls.append(seen["n"])
+            return real_backward(root, **kw)
+
         monkeypatch.setattr(training, "forward_loss", poisoned)
+        monkeypatch.setattr(training, "backward", counted_backward)
         run = tmp_path / "run"
         with pytest.raises(NumericError, match="diverged at step 8"):
             train(cfg, quick_conf(max_steps=30), solo_registry(cfg), [copy_task()], run)
@@ -602,6 +611,93 @@ class TestTrainLoop:
         assert (run / "checkpoints" / "step-000006.npz").exists()
         assert not (run / "LOCK").exists()
         assert read_metrics(run)[-1]["kind"] == "abort"
+        # the step whose model loss is NaN stops before its backward pass
+        assert backward_calls == list(range(1, 8))
+
+    def test_nonfinite_penalty_aborts_keeping_checkpoints(self, tmp_path, monkeypatch):
+        # a finite model loss whose soft penalty overflows still aborts the
+        # run, now that the penalty is computed after the backward pass
+        cfg = tiny_config()
+        tasks = [copy_task("copy"), copy_task("kw", generator="keyword-extract")]
+        reg = ParamRegistry(cfg, SharingPlan.preset("final", gamma=0.05), seed=0, init_range=0.1)
+        for t in tasks:
+            reg.add_task(t.name)
+        real = training.forward_loss
+        seen = {"n": 0}
+
+        def poisoned(params, cfg_, batch, **kw):
+            if grad_enabled():
+                seen["n"] += 1
+                if seen["n"] == 7:  # step 7 trains "copy"; its co-task drifts away
+                    for t in reg.task("kw")["E2"].values():
+                        t.values[...] = 1e200
+            return real(params, cfg_, batch, **kw)
+
+        monkeypatch.setattr(training, "forward_loss", poisoned)
+        copy_before = {k: t.values.copy() for k, t in reg.task("copy").flat().items()}
+        run = tmp_path / "run"
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="diverged at step 7"):
+            train(cfg, quick_conf(ratios=(1, 1), max_steps=30), reg, tasks, run)
+        assert (run / "checkpoints" / "step-000003.npz").exists()
+        assert (run / "checkpoints" / "step-000006.npz").exists()
+        assert not (run / "LOCK").exists()
+        records = read_metrics(run)
+        assert [r["step"] for r in records if r["kind"] == "train"] == list(range(1, 7))
+        assert records[-1] == {"kind": "abort", "step": 7, "task": "copy", "total": math.inf}
+        # the aborted step updated nothing: "copy" is as step 6's checkpoint left it
+        saved = load_checkpoint(run / "checkpoints" / "step-000006.npz").task_arrays("copy")
+        for tag, name, t in reg.task("copy").named():
+            np.testing.assert_array_equal(t.values, saved[tag][name])
+            assert not np.array_equal(t.values, copy_before[f"{tag}/{name}"])
+
+    def test_step_arrays_are_freed_before_next_step_validation_and_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        # a training step's arrays (its tape, adjoints and gradients) die with
+        # the step: none is alive when the next step's forward pass, a
+        # validation pass or a checkpoint write starts
+        cfg = tiny_config()
+        tasks = [copy_task("copy"), copy_task("kw", generator="keyword-extract")]
+        reg = ParamRegistry(cfg, SharingPlan.preset("final", gamma=0.05), seed=0, init_range=0.1)
+        for t in tasks:
+            reg.add_task(t.name)
+        step_arrays = []
+        checked = {"forward_loss": 0, "validation_loss": 0, "save_checkpoint": 0}
+
+        def assert_freed(where):
+            alive = sum(ref() is not None for ref in step_arrays)
+            assert alive == 0, f"{alive} earlier step's arrays alive when {where} starts"
+            checked[where] += 1
+
+        real_forward = training.forward_loss
+
+        def forward(params, cfg_, batch, **kw):
+            if not grad_enabled():
+                return real_forward(params, cfg_, batch, **kw)
+            assert_freed("forward_loss")
+            parts = real_forward(params, cfg_, batch, **kw)
+            step_arrays.append(weakref.ref(parts.outputs.final_dist.values))
+            return parts
+
+        def starts_clean(name):
+            real_fn = getattr(training, name)
+
+            def wrapped(*args, **kw):
+                assert_freed(name)
+                return real_fn(*args, **kw)
+
+            return wrapped
+
+        monkeypatch.setattr(training, "forward_loss", forward)
+        for name in ("validation_loss", "save_checkpoint"):
+            monkeypatch.setattr(training, name, starts_clean(name))
+        train(
+            cfg, quick_conf(ratios=(1, 1), max_steps=6, val_every=2, checkpoint_every=3),
+            reg, tasks, tmp_path / "run",
+        )
+        assert len(step_arrays) == 6
+        # 6 steps; 3 validations of 2 tasks each; checkpoints at steps 3 and 6
+        assert checked == {"forward_loss": 6, "validation_loss": 6, "save_checkpoint": 2}
 
     def test_patience_stop(self, tmp_path, monkeypatch):
         monkeypatch.setattr(training, "validation_loss", lambda *a, **k: (1.0, 1.0))
