@@ -9,6 +9,7 @@ is in the file; nothing is pickled.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import zipfile
@@ -58,6 +59,19 @@ class Checkpoint:
                 f"checkpoint holds tasks {sorted(self.params)}, not {task!r}"
             )
         return self.params[task]
+
+    def digest(self) -> str:
+        """sha256 of every parameter and moment array with its name, dtype
+        and shape, in name order: it names the arrays, not the file."""
+        h = hashlib.sha256()
+        for kind, store in (("params", self.params), ("adam/m", self.adam_m), ("adam/v", self.adam_v)):
+            for task in sorted(store):
+                for tag in sorted(store[task]):
+                    for name in sorted(store[task][tag]):
+                        arr = np.ascontiguousarray(store[task][tag][name])
+                        h.update(f"{kind}/{task}/{tag}/{name} {arr.dtype.str} {arr.shape}\n".encode())
+                        h.update(arr.tobytes())
+        return h.hexdigest()
 
 
 def save_checkpoint(

@@ -825,14 +825,45 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order  # parents precede children; root is last
 
 
-def backward(root: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[Tensor, np.ndarray]:
+def backward(
+    root: Tensor,
+    wrt: Iterable[Tensor] | None = None,
+    into: Iterable[np.ndarray] | None = None,
+) -> dict[Tensor, np.ndarray]:
     """Run reverse-mode accumulation from a scalar `root`.
 
     Returns a map from every reachable leaf to its total adjoint.  Leaves
     listed in `wrt` that the graph never touches come back as zeros.
+
+    With `into`, one array per `wrt` leaf and of its shape, each leaf's
+    adjoint is written into its array, summed there in place as each VJP
+    hands it over, and the map holds the `wrt` leaves alone.  Leaves not in
+    `wrt` are constants: their adjoints are dropped, not summed.
     """
     if root.values.size != 1:
         raise ContractError(f"backward: root must be scalar, got shape {root.shape}")
+    slots: dict[int, np.ndarray] | None = None
+    if into is not None:
+        if wrt is None:
+            raise ContractError("backward: `into` needs `wrt`")
+        wrt = list(wrt)
+        into = list(into)
+        if len(into) != len(wrt):
+            raise ContractError(f"backward: {len(into)} arrays in `into` for {len(wrt)} leaves")
+        slots = {id(leaf): out for leaf, out in zip(wrt, into)}
+        written: set[int] = set()
+
+    def deposit(leaf: Tensor, g) -> None:
+        # Add a leaf's adjoint to its `into` array: the first one is copied.
+        out = slots.get(id(leaf))
+        if out is None:
+            return
+        if id(leaf) in written:
+            out += g
+        else:
+            np.copyto(out, g)
+            written.add(id(leaf))
+
     order = _toposort(root)
     adjoint: dict[int, np.ndarray] = {id(root): np.ones_like(root.values)}
     leaves: dict[Tensor, np.ndarray] = {}
@@ -841,6 +872,9 @@ def backward(root: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[Tensor, 
         if g is None:
             continue
         if node.op is None:
+            if slots is not None:
+                deposit(node, g)
+                continue
             g = np.asarray(g)
             prev = leaves.get(node)
             leaves[node] = g if prev is None else prev + g
@@ -848,8 +882,16 @@ def backward(root: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[Tensor, 
         for parent, pg in zip(node.parents, node._vjp(g)):
             if pg is None:
                 continue
+            if slots is not None and parent.op is None:
+                deposit(parent, pg)
+                continue
             have = adjoint.get(id(parent))
             adjoint[id(parent)] = pg if have is None else have + pg
+    if slots is not None:
+        for leaf, out in zip(wrt, into):
+            if id(leaf) not in written:
+                out.fill(0)
+        return dict(zip(wrt, into))
     if wrt is not None:
         for leaf in wrt:
             if leaf not in leaves:

@@ -33,7 +33,7 @@ from .data import (
 )
 from .errors import ContractError, NumericError
 from .model import ModelConfig, forward_loss
-from .sharing import ParamRegistry, TaskParams
+from .sharing import TILE, Layout, ParamRegistry, TaskParams
 from .tensor import Tensor, backward, no_grad
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
     "validation_loss",
     "token_accuracy",
     "in_vocab_fraction",
+    "HELD_OUT_BATCH",
     "train",
     "warm_start",
     "read_metrics",
@@ -59,6 +60,9 @@ METRICS_NAME = "metrics.jsonl"
 META_NAME = "run_meta.json"
 CONFIG_NAME = "config.json"
 CHECKPOINT_DIR = "checkpoints"
+# Rows per batch of every held-out pass (`train`'s validation and
+# `token_accuracy`), whatever the training batch size.
+HELD_OUT_BATCH = 32
 
 
 # ---------------------------------------------------------------------------
@@ -156,41 +160,67 @@ def mixing_scheduler(
 
 
 def clip_gradients(
-    grads: dict[str, np.ndarray], max_norm: float
-) -> tuple[dict[str, np.ndarray], float]:
-    """Scale all gradients by max_norm/g when the global L2 norm g exceeds
-    max_norm; otherwise return them untouched.  Returns (grads, raw norm).
+    grads: dict[str, np.ndarray] | np.ndarray, max_norm: float, layout: Layout | None = None
+) -> tuple[dict[str, np.ndarray] | np.ndarray, float]:
+    """Scale all gradients in place by max_norm/g when the global L2 norm g
+    exceeds max_norm; otherwise leave them untouched.  Returns (grads, raw
+    norm).
+
+    With `layout`, `grads` is one flat gradient arena laid out by it: the
+    squares run once per chunk of whole arrays and the scaling once over
+    the arena.  Either form adds one partial sum per array, in the order of
+    the dict or of `layout.spans`, so both give the same bits.
     """
     if max_norm <= 0:
         raise ContractError(f"clip_gradients: max_norm must be > 0, got {max_norm}")
+    if layout is None:
+        partial = {name: float(np.sum(g * g)) for name, g in grads.items()}
+    else:
+        found = {}
+        width = max(b - a for _, a, b, _ in layout.chunks)
+        squares = np.empty(width, dtype=grads.dtype)
+        for _, a, b, arrays in layout.chunks:
+            sq = np.multiply(grads[a:b], grads[a:b], out=squares[: b - a])
+            for key, i, j in arrays:
+                found[key] = float(sq[i - a : j - a].sum())
+        partial = {key: found[key] for key in layout.spans}
     total = 0.0
-    for name, g in grads.items():
-        sq = float(np.sum(g * g))
+    for name, sq in partial.items():
         if not math.isfinite(sq):
             raise NumericError(f"non-finite gradient for parameter {name}")
         total += sq
     norm = math.sqrt(total)
-    if norm <= max_norm:
-        return grads, norm
-    factor = max_norm / norm
-    return {name: g * factor for name, g in grads.items()}, norm
+    if norm > max_norm:
+        factor = max_norm / norm
+        if layout is not None:
+            grads *= factor
+        else:
+            for g in grads.values():
+                g *= factor
+    return grads, norm
 
 
 class AdamState:
-    """Per-task first/second moments, keyed by flat parameter name."""
+    """Per-task first/second moments, keyed by flat parameter name.
 
-    __slots__ = ("m", "v", "t")
+    The moments of a task's arrays are views of two flat arenas laid out
+    like its parameters (`flat_m`, `flat_v`; see `sharing.Layout`).
+    """
+
+    __slots__ = ("m", "v", "t", "flat_m", "flat_v")
 
     def __init__(self, params: TaskParams):
-        flat = params.flat()
-        self.m = {k: np.zeros_like(t.values) for k, t in flat.items()}
-        self.v = {k: np.zeros_like(t.values) for k, t in flat.items()}
+        layout = params.layout
+        self.flat_m = np.zeros(layout.size, dtype=params.buffers[0].dtype)
+        self.flat_v = np.zeros_like(self.flat_m)
+        self.m = layout.views(self.flat_m)
+        self.v = layout.views(self.flat_v)
         self.t = 0
 
 
 def adam_step(
-    params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
+    params: TaskParams | dict[str, Tensor],
+    grads: np.ndarray | dict[str, np.ndarray],
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
@@ -199,41 +229,52 @@ def adam_step(
 ) -> AdamState:
     """Standard bias-corrected Adam update, applied to the arrays in place.
 
-    Each array gets x -= lr (m / correct1) / (sqrt(v / correct2) + eps),
-    rounded one operation at a time in the order that expression reads,
-    with two scratch buffers shared by all arrays instead of temporaries.
+    Each element gets x -= lr (m / correct1) / (sqrt(v / correct2) + eps),
+    rounded one operation at a time in the order that expression reads.
+    With a `TaskParams`, `grads` is a flat gradient arena laid out like it
+    and `state` its `AdamState`: the update runs over each parameter buffer
+    with its slices of the arenas.  With a dict of tensors, each array runs
+    alone.  Either way the op sequence runs in tiles of `TILE` elements,
+    through two scratch tiles, and every element rounds as it would alone.
     """
-    missing = params.keys() - grads.keys()
-    if missing:
-        raise ContractError(f"adam_step: no gradient for {sorted(missing)[0]}")
+    if isinstance(params, TaskParams):
+        spans = [
+            (x, grads[a:b], state.flat_m[a:b], state.flat_v[a:b])
+            for x, (a, b) in zip(params.buffers, params.layout.segments)
+        ]
+    else:
+        missing = params.keys() - grads.keys()
+        if missing:
+            raise ContractError(f"adam_step: no gradient for {sorted(missing)[0]}")
+        spans = [
+            (t.values.reshape(-1), grads[k].reshape(-1), state.m[k].reshape(-1), state.v[k].reshape(-1))
+            for k, t in params.items()
+        ]
     state.t += 1
     correct1 = 1.0 - beta1**state.t
     correct2 = 1.0 - beta2**state.t
-    size = max((t.values.size for t in params.values()), default=0)
     pool: dict[np.dtype, np.ndarray] = {}
-    for name, tensor_ in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        x = tensor_.values
+    for x, g, m, v in spans:
         if x.dtype not in pool:
-            pool[x.dtype] = np.empty(2 * size, dtype=x.dtype)
-        step = pool[x.dtype][: x.size].reshape(x.shape)
-        denom = pool[x.dtype][size : size + x.size].reshape(x.shape)
-        m *= beta1
-        np.multiply(g, 1.0 - beta1, out=step)
-        m += step
-        v *= beta2
-        np.multiply(g, g, out=step)
-        step *= 1.0 - beta2
-        v += step
-        np.divide(m, correct1, out=step)
-        step *= lr
-        np.divide(v, correct2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += eps
-        step /= denom
-        x -= step
+            pool[x.dtype] = np.empty((2, TILE), dtype=x.dtype)
+        for start in range(0, x.size, TILE):
+            tile = slice(start, start + TILE)
+            xt, gt, mt, vt = x[tile], g[tile], m[tile], v[tile]
+            step, denom = pool[x.dtype][:, : xt.size]
+            mt *= beta1
+            np.multiply(gt, 1.0 - beta1, out=step)
+            mt += step
+            vt *= beta2
+            np.multiply(gt, gt, out=step)
+            step *= 1.0 - beta2
+            vt += step
+            np.divide(mt, correct1, out=step)
+            step *= lr
+            np.divide(vt, correct2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            step /= denom
+            xt -= step
     return state
 
 
@@ -303,7 +344,7 @@ def token_accuracy(
     params: TaskParams,
     cfg: ModelConfig,
     examples: Sequence[EncodedExample],
-    batch_size: int = 32,
+    batch_size: int = HELD_OUT_BATCH,
 ) -> float:
     """Teacher-forced token accuracy over a held-out set, grad-free.
 
@@ -405,38 +446,38 @@ def _train_step(
     adam: AdamState,
     lr: float,
     tconf: TrainConfig,
+    grad: np.ndarray,
 ) -> dict[str, float]:
     """One optimizer step of `task` on `batch`: the fields of its log record.
 
-    Every array the step makes (the tape, the adjoints, the penalty and the
-    clipped gradients) is a local here, so it is freed when the step
-    returns, before the next step, a validation pass or a checkpoint write.
-    The soft penalty runs after `backward`, once the tape is gone; it reads
-    only the parameters, which `backward` does not change.  A record whose
-    `total` is not finite holds nothing else, and its step updated nothing:
-    a non-finite model loss stops before `backward`.
+    `grad` is the gradient arena, laid out by `registry.layout`; it lives
+    across steps and is overwritten by each.  `backward` writes the model
+    loss's gradient into it, the soft penalty adds its own, and clipping
+    and Adam run over it.  The tape and the VJP outputs are locals here,
+    freed when the step returns, before the next step, a validation pass or
+    a checkpoint write.  The soft penalty runs after `backward`, once the
+    tape is gone; it reads only the parameters, which `backward` does not
+    change.  A record whose `total` is not finite holds nothing else, and
+    its step updated nothing: a non-finite model loss stops before
+    `backward`.
     """
     params = registry.task(task)
     parts = forward_loss(params, cfg, batch, cov_weight=tconf.cov_weight)
     model_total = float(parts.total.values)
     if not math.isfinite(model_total):
         return {"total": model_total}
-    wrt = params.flat()
-    adjoint = backward(parts.total, wrt=wrt.values())
-    grads = {k: adjoint[t] for k, t in wrt.items()}
+    into = registry.layout.views(grad).values()
+    backward(parts.total, wrt=params.flat().values(), into=into)
     nll = float(parts.nll.values)
     l_cov = float(parts.coverage.values) if parts.coverage is not None else 0.0
-    del parts, adjoint
+    del parts
 
-    penalty_value, penalty_grads = registry.soft_penalty(task)
+    penalty_value, _ = registry.soft_penalty(task, into=grad)
     total = model_total + penalty_value
     if not math.isfinite(total):
         return {"total": total}
-    for (tag, name), extra in penalty_grads.items():
-        key = f"{tag}/{name}"
-        grads[key] = grads[key] + extra
-    grads, grad_norm = clip_gradients(grads, tconf.clip_norm)
-    adam_step(wrt, grads, adam, lr)
+    _, grad_norm = clip_gradients(grad, tconf.clip_norm, registry.layout)
+    adam_step(params, grad, adam, lr)
     return {
         "grad_norm": grad_norm,
         "nll": nll,
@@ -468,10 +509,16 @@ def train(
     phased run the checkpoint of the switch step records none, because that
     step still trained without coverage.
 
-    Each step runs in `_train_step`, so its arrays (the tape, the adjoints,
-    the penalty and the clipped gradients) are released before the next
-    step, a validation pass or a checkpoint write; the soft penalty is
-    computed after `backward`.
+    Each step runs in `_train_step`, so its tape and VJP outputs are
+    released before the next step, a validation pass or a checkpoint write;
+    the soft penalty is computed after `backward`.  One gradient arena,
+    laid out by `registry.layout`, serves every task's steps and lives for
+    the whole run.  Validation passes run in batches of `HELD_OUT_BATCH`
+    rows, whatever `tconf.batch_size` is.
+
+    Each `warm_start` record names the checkpoint's file, its step and
+    `Checkpoint.digest`, not its path, so the log does not depend on where
+    the run's inputs live.
 
     A non-finite loss aborts the run with NumericError; checkpoints already
     on disk are kept.  A non-finite model loss aborts before `backward`.
@@ -522,6 +569,7 @@ def train(
             for n in names
         }
         adam = {n: AdamState(params[n]) for n in names}
+        grad = np.empty(registry.layout.size, dtype=cfg.np_dtype)
         vocabs = {n: by_name[n].vocab for n in names}
         primary = names[0]
 
@@ -535,8 +583,9 @@ def train(
                         log,
                         kind="warm_start",
                         task=task,
-                        checkpoint=str(spec.warm_checkpoint),
+                        checkpoint=Path(spec.warm_checkpoint).name,
                         checkpoint_step=ckpt.step,
+                        checkpoint_sha256=ckpt.digest(),
                     )
 
             schedule = mixing_scheduler(tconf.ratios, names)
@@ -570,7 +619,7 @@ def train(
                 # The tasks this step trains with coverage; checkpoints record them.
                 covered = [n for n in names if task_cfg[n].use_coverage]
                 record = _train_step(
-                    registry, task, task_cfg[task], next(iters[task]), adam[task], lr, tconf
+                    registry, task, task_cfg[task], next(iters[task]), adam[task], lr, tconf, grad
                 )
                 if not math.isfinite(record["total"]):
                     _log(log, kind="abort", step=step, task=task, total=record["total"])
@@ -588,7 +637,7 @@ def train(
                             params[name],
                             task_cfg[name],
                             enc_val[name],
-                            tconf.batch_size,
+                            HELD_OUT_BATCH,
                             tconf.cov_weight,
                         )
                         _log(
@@ -653,11 +702,26 @@ def train(
 
 
 def read_metrics(run_dir) -> list[dict]:
-    """Parse a run's line-delimited metric log."""
+    """Parse a run's line-delimited metric log.
+
+    A line that is not a JSON record (a last line cut mid-write, say)
+    raises `ContractError` naming ``path:line``.
+    """
     path = Path(run_dir) / METRICS_NAME
     if not path.exists():
         raise ContractError(f"{run_dir} has no metric log")
-    return [json.loads(line) for line in path.read_text().splitlines() if line]
+    records = []
+    for number, line in enumerate(path.read_text().splitlines(), start=1):
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise ContractError(f"{path}:{number}: not a metric record ({exc})") from None
+        if not isinstance(record, dict):
+            raise ContractError(f"{path}:{number}: not a metric record")
+        records.append(record)
+    return records
 
 
 def warm_start(baseline_run, fraction: float) -> Path:
@@ -671,7 +735,12 @@ def warm_start(baseline_run, fraction: float) -> Path:
     meta_path = run_dir / META_NAME
     if not meta_path.exists():
         raise ContractError(f"{run_dir} has no {META_NAME}; is it a finished run?")
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+    except ValueError as exc:
+        raise ContractError(f"{meta_path} is not valid JSON ({exc}); is it a finished run?") from None
+    if not isinstance(meta, dict):
+        raise ContractError(f"{meta_path} is not a run record; is it a finished run?")
     if not meta.get("best_step"):
         raise ContractError(f"baseline run {run_dir} recorded no validation losses")
     target = math.ceil(fraction * meta["best_step"])

@@ -177,6 +177,22 @@ class TestTrainCommand:
         line = len(corp.train) + 1
         assert f"{train_path}:{line}: bad corpus record (target has no tokens)" in err
 
+    def test_warm_start_from_cut_run_meta_exits_2_naming_it(self, trained, tmp_path, capsys):
+        base = tmp_path / "base"
+        shutil.copytree(trained["run_dir"], base)
+        meta = base / "run_meta.json"
+        meta.write_text(meta.read_text()[:20])  # cut mid-write
+        cfg = base_config(trained["root"])
+        cfg["out_dir"] = str(tmp_path / "warm")
+        cfg["tasks"][0]["warm_run"] = str(base)
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(cfg))
+        rc = main(["train", "--config", str(p)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert str(meta) in err
+        assert "Traceback" not in err
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         rc = main(["train", "--config", str(tmp_path / "absent.json")])
         assert rc == EXIT_CONFIG

@@ -632,6 +632,34 @@ class TestModelGradients:
         report = gradient_check(build, arrays, step=step, tolerance=5e-5)
         assert report.passed, report.summary()
 
+    def test_backward_into_matches_the_adjoint_map(self):
+        """`backward(..., into=...)` writes, bit for bit, the adjoints the
+        map form returns, on a gate-size copy-oov batch with coverage, and
+        hands back no constant leaf's adjoint: the graph holds 7."""
+        from seqlab.data import SynthSpec, make_task_corpora
+        from seqlab.sharing import ParamRegistry, SharingPlan
+
+        spec = SynthSpec()
+        vocab = spec.vocab()
+        cfg = ModelConfig(vocab_size=len(vocab), emb_dim=16, hidden=32)
+        reg = ParamRegistry(cfg, SharingPlan.preset("final", gamma=1e-6), seed=1, init_range=0.1)
+        params = reg.add_task("copy-oov")
+        corp = make_task_corpora("copy-oov", seed=1, sizes=(8, 2, 2), spec=spec)
+        batch = make_batch([encode_example(ex, vocab) for ex in corp.train])
+        wrt = params.flat()
+
+        want = backward(forward_loss(params, cfg, batch).total, wrt=wrt.values())
+        constants = [leaf for leaf in want if all(leaf is not t for t in wrt.values())]
+        assert len(want) == 47 and len(constants) == 7
+
+        arena = np.full(reg.layout.size, np.nan)
+        views = reg.layout.views(arena)
+        got = backward(forward_loss(params, cfg, batch).total, wrt=wrt.values(), into=views.values())
+        assert list(got) == list(wrt.values())
+        for key, t in wrt.items():
+            assert got[t] is views[key]
+            np.testing.assert_array_equal(views[key], want[t], err_msg=key)
+
 
 def per_gate_lstm(x, w, u, b, h0, c0, keep=None, reverse=False):
     """The oracle for `lstm`: an LSTM built one tape op at a time.

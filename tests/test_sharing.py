@@ -6,10 +6,11 @@ import pytest
 from conftest import tiny_config
 from seqlab.data import task_seed
 from seqlab.errors import ContractError
-from seqlab.model import GATES, TAGS, param_shapes
+from seqlab.model import GATES, TAGS, init_blocks, param_shapes
 from seqlab.sharing import (
     EUCLIDEAN,
     SQUARED,
+    TILE,
     Mode,
     ParamRegistry,
     PRESETS,
@@ -280,6 +281,107 @@ class TestSoftPenalty:
                 arr[i] = keep
                 numeric = (up - down) / (2 * h)
                 assert numeric == pytest.approx(grads[("Attn", name)].reshape(-1)[i], abs=1e-6)
+
+
+    @pytest.mark.parametrize("form", [SQUARED, EUCLIDEAN])
+    def test_into_adds_the_returned_gradient_in_place(self, form):
+        # `into` receives exactly what the dict form returns, added to what
+        # it held, bit for bit, and nothing outside the pulled arrays moves
+        cfg = tiny_config()
+        reg = ParamRegistry(cfg, SharingPlan.preset("final", gamma=0.3, form=form), seed=5)
+        for name in "abc":
+            reg.add_task(name)
+        value, grads = reg.soft_penalty("a")
+        held = np.random.default_rng(0).normal(size=reg.layout.size)
+        into = held.copy()
+        assert reg.soft_penalty("a", into=into) == (value, {})
+        want = reg.layout.views(held)
+        for (tag, name), g in grads.items():
+            want[f"{tag}/{name}"] = want[f"{tag}/{name}"] + g
+        got = reg.layout.views(into)
+        assert len(grads) == sum(len(a) for _, _, _, a in reg.layout.soft_chunks)
+        for key, arr in want.items():
+            np.testing.assert_array_equal(got[key], arr, err_msg=key)
+
+
+def per_array_draws(cfg, plan, seed, init_range, tasks):
+    """Fresh parameters as drawn before the flat buffers: one array each,
+    filled block by block, hard groups drawn by the first task."""
+    shapes = param_shapes(cfg)
+    hard = {}
+    out = {}
+    for task in tasks:
+        rng = np.random.default_rng(task_seed(seed, task, stream=0))
+        groups = {}
+        for tag in TAGS:
+            if plan.mode(tag) is Mode.HARD and tag in hard:
+                groups[tag] = hard[tag]
+                continue
+            arrays = {n: np.empty(shapes[tag][n], dtype=cfg.np_dtype) for n in sorted(shapes[tag])}
+            for name, index in init_blocks(tag, shapes[tag]):
+                block = arrays[name][index]
+                block[...] = rng.uniform(-init_range, init_range, block.shape)
+            if plan.mode(tag) is Mode.HARD:
+                hard[tag] = arrays
+            groups[tag] = arrays
+        out[task] = groups
+    return out
+
+
+ARENA_PLANS = {
+    "final": SharingPlan.preset("final", gamma=0.1),
+    "final-hard": SharingPlan.preset("final", gamma=0.0, hard=True),
+    "e1+attn+d2-hard": SharingPlan.preset("e1+attn+d2", gamma=0.0, hard=True),
+    "solo": SharingPlan.solo(),
+}
+
+
+class TestArena:
+    @pytest.mark.parametrize("plan", ARENA_PLANS.values(), ids=ARENA_PLANS)
+    def test_every_array_is_a_view_of_its_buffer(self, plan):
+        reg = ParamRegistry(tiny_config(), plan, seed=3)
+        tasks = [reg.add_task(n) for n in "abc"]
+        layout = reg.layout
+        hard = {tag: 1 + i for i, tag in enumerate(plan.hard_tags)}
+        for params in tasks:
+            assert [b.size for b in params.buffers] == [b - a for a, b in layout.segments]
+            for tag, name, t in params.named():
+                buf = params.buffers[hard.get(tag, 0)]
+                assert np.shares_memory(t.values, buf), f"{params.task} {tag}/{name}"
+                assert t.values.base is buf
+                assert t.values.flags.c_contiguous
+            # the views tile the buffers exactly
+            assert sum(t.values.size for _, _, t in params.named()) == layout.size
+        for i, tag in enumerate(plan.hard_tags, start=1):
+            # a hard group is one buffer and one set of tensors for every task
+            assert all(p.buffers[i] is tasks[0].buffers[i] for p in tasks)
+            assert all(p.groups[tag] is tasks[0].groups[tag] for p in tasks)
+        for p in tasks[1:]:
+            assert not np.shares_memory(p.buffers[0], tasks[0].buffers[0])
+
+    def test_soft_arrays_lead_each_own_buffer(self):
+        reg = ParamRegistry(tiny_config(), ARENA_PLANS["final"], seed=3)
+        params = reg.add_task("a")
+        spans = reg.layout.spans
+        soft = [spans[f"{t}/{n}"] for t in ("E2", "Attn", "D1") for n in sorted(params[t])]
+        assert soft[0][1] == 0
+        assert all(x[2] == y[1] for x, y in zip(soft, soft[1:]))  # in order, no gaps
+        assert soft[-1][2] == reg.layout.soft_size
+        for _, a, b, arrays in reg.layout.chunks:
+            assert b - a <= TILE or len(arrays) == 1
+            assert (arrays[0][1], arrays[-1][2]) == (a, b)
+
+    @pytest.mark.parametrize("plan", ARENA_PLANS.values(), ids=ARENA_PLANS)
+    def test_fresh_parameters_match_per_array_draws(self, plan):
+        cfg = tiny_config()
+        reg = ParamRegistry(cfg, plan, seed=9, init_range=0.1)
+        for name in "abc":
+            reg.add_task(name)
+        want = per_array_draws(cfg, plan, 9, 0.1, "abc")
+        for task, params in reg.tasks.items():
+            for tag, name, t in params.named():
+                assert t.values.dtype == want[task][tag][name].dtype
+                np.testing.assert_array_equal(t.values, want[task][tag][name], err_msg=f"{task} {tag}/{name}")
 
 
 class TestDistanceReport:

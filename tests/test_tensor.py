@@ -281,6 +281,25 @@ class TestBackwardBasics:
         grads = backward(reduce_sum(add(x, bias)))
         np.testing.assert_array_equal(grads[bias], [4.0, 4.0, 4.0])
 
+    def test_into_sums_in_place_and_zero_fills(self):
+        x = tensor([1.5, -2.0])
+        unused = tensor(np.zeros(2))
+        const = tensor([3.0, 4.0])
+        root = reduce_sum(add(multiply(x, const), multiply(x, x)))
+        want = backward(root, wrt=[x, unused])
+        into = [np.full(2, np.nan), np.full(2, np.nan)]
+        got = backward(root, wrt=[x, unused], into=into)
+        assert list(got) == [x, unused] and got[x] is into[0] and got[unused] is into[1]
+        np.testing.assert_array_equal(into[0], want[x])
+        np.testing.assert_array_equal(into[1], [0.0, 0.0])
+
+    def test_into_needs_one_array_per_wrt_leaf(self):
+        x = tensor([1.0])
+        with pytest.raises(ContractError, match="needs `wrt`"):
+            backward(reduce_sum(x), into=[np.zeros(1)])
+        with pytest.raises(ContractError, match="2 arrays"):
+            backward(reduce_sum(x), wrt=[x], into=[np.zeros(1), np.zeros(1)])
+
     @pytest.mark.parametrize("name", sorted(RECORDING_OPS))
     def test_no_grad_produces_leaves(self, name):
         inputs, op = RECORDING_OPS[name](random_leaves())

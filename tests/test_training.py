@@ -24,7 +24,7 @@ import seqlab.checkpoint as checkpoint
 from seqlab.data import SynthSpec, batch_iterator, encode_example, make_task_corpora, task_seed
 from seqlab.errors import CheckpointError, ContractError, NumericError
 from seqlab.model import ModelConfig, forward_loss
-from seqlab.sharing import EUCLIDEAN, Mode, ParamRegistry, SharingPlan, single_task_params
+from seqlab.sharing import EUCLIDEAN, TILE, Mode, ParamRegistry, SharingPlan, single_task_params
 from seqlab.tensor import (
     add,
     backward,
@@ -37,6 +37,7 @@ from seqlab.tensor import (
 )
 import seqlab.training as training
 from seqlab.training import (
+    HELD_OUT_BATCH,
     AdamState,
     TrainConfig,
     TrainTask,
@@ -148,16 +149,52 @@ class TestClipGradients:
     def test_never_increases_norm_and_keeps_direction(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            grads = {str(i): rng.normal(size=rng.integers(1, 6)) for i in range(3)}
+            original = {str(i): rng.normal(size=rng.integers(1, 6)) for i in range(3)}
+            grads = {k: g.copy() for k, g in original.items()}
             max_norm = float(rng.uniform(0.1, 3.0))
             clipped, norm = clip_gradients(grads, max_norm)
             new_norm = math.sqrt(sum(float((g**2).sum()) for g in clipped.values()))
             assert new_norm <= max(norm, max_norm) + 1e-12
             assert new_norm <= norm + 1e-12
-            flat_old = np.concatenate([grads[k].ravel() for k in sorted(grads)])
+            flat_old = np.concatenate([original[k].ravel() for k in sorted(original)])
             flat_new = np.concatenate([clipped[k].ravel() for k in sorted(clipped)])
             cos = flat_old @ flat_new / (np.linalg.norm(flat_old) * np.linalg.norm(flat_new))
             assert cos == pytest.approx(1.0, abs=1e-12)
+
+    def test_scales_in_place(self):
+        grads = {"a": np.array([3.0]), "b": np.array([4.0])}
+        arrays = dict(grads)
+        clipped, _ = clip_gradients(grads, 2.5)
+        assert all(clipped[k] is arrays[k] for k in arrays)
+        np.testing.assert_array_equal(arrays["b"], [2.0])
+
+    @pytest.mark.parametrize("max_norm", [1e-3, 1e9])
+    def test_flat_arena_matches_the_dict_form_bitwise(self, max_norm):
+        # one partial sum per array, added in flat-name order, in both forms
+        reg = ParamRegistry(tiny_config(hidden=32), SharingPlan.preset("final", gamma=0.1), seed=1)
+        reg.add_task("a")
+        layout = reg.layout
+        assert len(layout.chunks) < len(layout.spans)  # some chunks hold several arrays
+        rng = np.random.default_rng(2)
+        for _ in range(10):
+            flat = rng.normal(size=layout.size)
+            for view in layout.views(flat).values():
+                view *= 10.0 ** rng.uniform(-4, 4)  # partial sums of many magnitudes
+            per_array = {k: v.copy() for k, v in layout.views(flat).items()}
+            _, want = clip_gradients(per_array, max_norm)
+            out, got = clip_gradients(flat, max_norm, layout)
+            assert out is flat
+            assert got == want
+            for key, view in layout.views(flat).items():
+                np.testing.assert_array_equal(view, per_array[key])
+
+    def test_flat_arena_names_the_non_finite_array(self):
+        reg = ParamRegistry(tiny_config(), SharingPlan.solo(), seed=1)
+        reg.add_task("a")
+        flat = np.ones(reg.layout.size)
+        reg.layout.views(flat)["Attn/score_v"][1] = np.nan
+        with pytest.raises(NumericError, match="Attn/score_v"):
+            clip_gradients(flat, 2.0, reg.layout)
 
 
 def toy_params():
@@ -239,6 +276,62 @@ class TestAdam:
             np.testing.assert_array_equal(state.m[k], m[k])
             np.testing.assert_array_equal(state.v[k], v[k])
 
+    @pytest.mark.parametrize("size", [1, TILE - 1, TILE, TILE + 1])
+    def test_tiles_round_as_whole_arrays(self, size):
+        """The tiled op sequence gives the bits of the same ops on a whole
+        array, at and around the tile boundary."""
+        rng = np.random.default_rng(size)
+        params = {"w": tensor(rng.normal(size=size)), "s": tensor(rng.normal(size=(3, 2)))}
+        state = ToyState(params)
+        x = {k: t.values.copy() for k, t in params.items()}
+        m = {k: np.zeros_like(a) for k, a in x.items()}
+        v = {k: np.zeros_like(a) for k, a in x.items()}
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        for t in range(1, 4):
+            grads = {k: rng.normal(size=a.shape) * 10.0 ** rng.integers(-6, 2) for k, a in x.items()}
+            adam_step(params, grads, state, lr)
+            for k, g in grads.items():
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
+                x[k] = x[k] - lr * (m[k] / (1.0 - b1**t)) / (np.sqrt(v[k] / (1.0 - b2**t)) + eps)
+        for k in params:
+            np.testing.assert_array_equal(params[k].values, x[k])
+            np.testing.assert_array_equal(state.m[k], m[k])
+            np.testing.assert_array_equal(state.v[k], v[k])
+
+    @pytest.mark.parametrize("hard", [False, True])
+    def test_task_arena_matches_per_array_steps(self, hard):
+        """A task's step over its buffers and a flat gradient arena equals
+        the per-array step on copies, hard groups included."""
+        cfg = tiny_config(hidden=48)
+        reg = ParamRegistry(cfg, SharingPlan.preset("final", gamma=0.0, hard=hard), seed=2)
+        own = reg.add_task("a")
+        reg.add_task("b")
+        assert max(b - a for a, b in reg.layout.segments) > TILE  # several tiles
+        copies = {k: tensor(t.values.copy()) for k, t in own.flat().items()}
+        state, ref_state = AdamState(own), ToyState(copies)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            grad = rng.normal(size=reg.layout.size)
+            per_array = {k: g.copy() for k, g in reg.layout.views(grad).items()}
+            adam_step(own, grad, state, lr=0.01)
+            adam_step(copies, per_array, ref_state, lr=0.01)
+        assert state.t == ref_state.t == 3
+        for key, t in own.flat().items():
+            np.testing.assert_array_equal(t.values, copies[key].values, err_msg=key)
+            np.testing.assert_array_equal(state.m[key], ref_state.m[key])
+            np.testing.assert_array_equal(state.v[key], ref_state.v[key])
+        if hard:
+            np.testing.assert_array_equal(reg.task("b")["Attn"]["enc_w"].values, own["Attn"]["enc_w"].values)
+
+    def test_moments_are_views_of_flat_arenas(self):
+        params = single_task_params(tiny_config(), task="a")
+        state = AdamState(params)
+        for which, flat in ((state.m, state.flat_m), (state.v, state.flat_v)):
+            assert list(which) == list(params.flat())
+            assert all(arr.base is flat for arr in which.values())
+            assert flat.size == params.layout.size
+
     def test_missing_gradient_rejected(self):
         params = toy_params()
         state = ToyState(params)
@@ -257,6 +350,18 @@ class TestPenaltyDescent:
         assert len(traj) == 101
         assert traj[-1] < traj[0]
         assert all(later < earlier for earlier, later in zip(traj, traj[1:]))
+
+    def test_writes_into_the_views(self):
+        reg = ParamRegistry(tiny_config(), SharingPlan.preset("final", gamma=1.0), seed=4)
+        for name in "ab":
+            reg.add_task(name)
+        before = {n: (p.buffers[0].copy(), {k: t.values for k, t in p.flat().items()})
+                  for n, p in reg.tasks.items()}
+        penalty_descent(reg, steps=2, lr=1e-3)
+        for name, (copy, arrays) in before.items():
+            params = reg.task(name)
+            assert all(t.values is arrays[k] for k, t in params.flat().items())
+            assert not np.array_equal(params.buffers[0], copy)
 
     def test_needs_positive_gamma(self):
         reg = ParamRegistry(tiny_config(), SharingPlan.solo(), seed=0)
@@ -335,6 +440,21 @@ class TestCheckpoint:
         restore_optimizer(fresh, load_checkpoint(path), "a")
         assert fresh.t == 3
         np.testing.assert_array_equal(fresh.m["Emb/table"], state.m["Emb/table"])
+
+    def test_restores_write_into_the_views(self, tmp_path):
+        cfg, params, state, _, path = small_setup(tmp_path)
+        ckpt = load_checkpoint(path)
+        fresh = single_task_params(cfg, task="a", seed=99)
+        arrays = {k: t.values for k, t in fresh.flat().items()}
+        restore_task_params(fresh, ckpt)
+        assert all(t.values is arrays[k] for k, t in fresh.flat().items())
+        np.testing.assert_array_equal(fresh.buffers[0], params.buffers[0])
+        moments = AdamState(fresh)
+        views = (dict(moments.m), dict(moments.v))
+        restore_optimizer(moments, ckpt, "a")
+        assert all(moments.m[k] is views[0][k] and moments.v[k] is views[1][k] for k in views[0])
+        np.testing.assert_array_equal(moments.flat_m, state.flat_m)
+        np.testing.assert_array_equal(moments.flat_v, state.flat_v)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
@@ -886,6 +1006,42 @@ class TestValidationLoss:
             assert abs(g - w) <= 1e-12 * abs(w)
         assert token_accuracy(params, cfg, shuffled, 4) == token_accuracy(params, cfg, enc, 4)
 
+    def test_row_count_does_not_matter(self):
+        """The held-out batch size only regroups rows: 8 and 32 rows give
+        the same losses to within the last few ulps."""
+        cfg = tiny_config()
+        params = single_task_params(cfg, seed=2, init_range=0.5)
+        spec = dataclasses.replace(TINY_SPEC, min_len=2, max_len=9)
+        corp = make_task_corpora("copy-oov", seed=5, sizes=(4, 70, 4), spec=spec)
+        enc = [encode_example(ex, spec.vocab()) for ex in corp.val]
+        want = validation_loss(params, cfg, enc, 8, 1.0)
+        got = validation_loss(params, cfg, enc, HELD_OUT_BATCH, 1.0)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * abs(w)
+
+    @pytest.mark.parametrize("batch_size", [1, 4, 8, 16, 48])
+    def test_train_validates_in_fixed_row_batches(self, tmp_path, monkeypatch, batch_size):
+        rows = []
+        real = training.validation_loss
+
+        def spy(params, cfg, examples, batch_size_, cov_weight):
+            rows.append(batch_size_)
+            return real(params, cfg, examples, batch_size_, cov_weight)
+
+        monkeypatch.setattr(training, "validation_loss", spy)
+        cfg = tiny_config()
+        train(
+            cfg, quick_conf(batch_size=batch_size, max_steps=2, val_every=1, checkpoint_every=2),
+            solo_registry(cfg), [copy_task(sizes=(48, 12, 12))], tmp_path / "run",
+        )
+        assert rows == [HELD_OUT_BATCH, HELD_OUT_BATCH]
+
+    def test_token_accuracy_default_rows(self):
+        import inspect
+
+        default = inspect.signature(token_accuracy).parameters["batch_size"].default
+        assert default == HELD_OUT_BATCH
+
 
 class TestWarmStart:
     def fake_run(self, tmp_path, best_step, ckpt_steps):
@@ -941,6 +1097,53 @@ class TestWarmStart:
         with pytest.raises(ContractError, match="run_meta"):
             warm_start(tmp_path, 0.9)
 
+    @pytest.mark.parametrize("text", ['{"best_step": 10', "", "[1, 2]"])
+    def test_invalid_meta_names_the_file(self, tmp_path, text):
+        run = self.fake_run(tmp_path, 1000, (900,))
+        (run / "run_meta.json").write_text(text)  # cut mid-write, empty, or not a record
+        with pytest.raises(ContractError, match=re.escape(str(run / "run_meta.json"))):
+            warm_start(run, 0.9)
+
+    def test_log_does_not_depend_on_the_run_directory(self, tmp_path):
+        """Gate 9's warm-started recipe, shortened, run under two directory
+        names: every metric log is byte-identical, and each warm-start
+        record names the checkpoint's file, step and array digest."""
+        spec = SynthSpec()
+        vocab = spec.vocab()
+        gens = ("copy-oov", "keyword-extract", "subset-rewrite")
+        corpora = {g: make_task_corpora(g, seed=5, sizes=(40, 12, 12), spec=spec) for g in gens}
+        cfg = ModelConfig(vocab_size=len(vocab), emb_dim=16, hidden=32)
+
+        def recipe(root):
+            warm = {}
+            solo = TrainConfig(batch_size=8, max_steps=6, val_every=2, checkpoint_every=2, seed=5)
+            for gen in gens:
+                solo_cfg = dataclasses.replace(cfg, use_coverage=gen == "copy-oov")
+                reg = ParamRegistry(solo_cfg, SharingPlan.solo(), seed=5, init_range=0.1)
+                reg.add_task(gen)
+                train(solo_cfg, solo, reg, [TrainTask(gen, corpora[gen], vocab)], root / f"solo-{gen}")
+                warm[gen] = warm_start(root / f"solo-{gen}", 0.9)
+            reg = ParamRegistry(cfg, SharingPlan.preset("final", gamma=1e-6), seed=5, init_range=0.1)
+            for gen in gens:
+                reg.add_task(gen)
+            mtl = TrainConfig(ratios=(4, 3, 3), batch_size=8, max_steps=10, val_every=5,
+                              checkpoint_every=10, patience=999, seed=5)
+            tasks = [TrainTask(g, corpora[g], vocab, warm_checkpoint=warm[g]) for g in gens]
+            train(cfg, mtl, reg, tasks, root / "mtl")
+            return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("metrics.jsonl"))}
+
+        first = recipe(tmp_path / "first")
+        second = recipe(tmp_path / "elsewhere" / "second-run")
+        assert len(first) == 4 and first == second
+        warm = [r for r in read_metrics(tmp_path / "first" / "mtl") if r["kind"] == "warm_start"]
+        assert [r["task"] for r in warm] == list(gens)
+        for r in warm:
+            path = tmp_path / "first" / f"solo-{r['task']}" / "checkpoints" / r["checkpoint"]
+            ckpt = load_checkpoint(path)
+            assert r["checkpoint_step"] == ckpt.step
+            assert r["checkpoint_sha256"] == ckpt.digest()
+
+
     def test_failed_write_leaves_no_partial_checkpoint(self, tmp_path, monkeypatch):
         run = self.fake_run(tmp_path, 1000, (800, 1000))
         ckpt_dir = run / "checkpoints"
@@ -966,3 +1169,21 @@ class TestWarmStart:
             picked = warm_start(run, fraction)
             assert picked.name == f"step-{step:06d}.npz"
             assert load_checkpoint(picked).step == step
+
+
+class TestReadMetrics:
+    def test_cut_last_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "metrics.jsonl"
+        path.write_text('{"kind": "train", "step": 1}\n\n{"kind": "train", "st')
+        with pytest.raises(ContractError, match=re.escape(f"{path}:3:")):
+            read_metrics(tmp_path)
+
+    def test_non_record_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "metrics.jsonl"
+        path.write_text('{"kind": "train", "step": 1}\n7\n')
+        with pytest.raises(ContractError, match=re.escape(f"{path}:2:")):
+            read_metrics(tmp_path)
+
+    def test_complete_log_reads(self, tmp_path):
+        (tmp_path / "metrics.jsonl").write_text('{"a": 1}\n\n{"b": 2}\n')
+        assert read_metrics(tmp_path) == [{"a": 1}, {"b": 2}]
