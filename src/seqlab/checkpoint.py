@@ -14,9 +14,10 @@ import json
 import os
 import zipfile
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -28,6 +29,7 @@ CHECKPOINT_VERSION = 3
 __all__ = [
     "CHECKPOINT_VERSION",
     "Checkpoint",
+    "atomic_write",
     "save_checkpoint",
     "load_checkpoint",
     "restore_task_params",
@@ -36,6 +38,28 @@ __all__ = [
 
 
 NestedArrays = dict[str, dict[str, dict[str, np.ndarray]]]
+
+
+@contextmanager
+def atomic_write(path) -> Iterator[BinaryIO]:
+    """Open a binary file that appears at `path` complete or not at all:
+    the block writes a temporary name beside it that no run-directory glob
+    matches, then ``os.replace`` moves it onto `path`.  If the block
+    raises, `path` keeps what it held and the temporary file goes.  An
+    existing `path` that is not a regular file (``/dev/stdout``, say) is
+    written in place, since replacing it would destroy it."""
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    tmp = path.with_name(f".{path.name}.partial")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 @dataclass
@@ -115,15 +139,8 @@ def save_checkpoint(
         for task, vocab in vocabs.items():
             arrays[f"vocab/{task}"] = np.array(list(vocab.tokens), dtype=str)
     path.parent.mkdir(parents=True, exist_ok=True)
-    # Write beside the target under a name no checkpoint glob matches, then
-    # rename: a crash mid-write never leaves a truncated archive at `path`.
-    tmp = path.with_name(f".{path.name}.partial")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with atomic_write(path) as fh:
+        np.savez(fh, **arrays)
     return path
 
 

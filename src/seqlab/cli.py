@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint
+from .checkpoint import atomic_write, load_checkpoint
 from .config import DecodeConfig, RunConfig, load_run_config
 from .data import (
     Batch,
@@ -239,7 +239,8 @@ def cmd_decode(args) -> int:
 
     lines = "".join(json.dumps(r) + "\n" for r in records)
     if args.output:
-        Path(args.output).write_text(lines, encoding="utf-8")
+        with atomic_write(args.output) as fh:
+            fh.write(lines.encode("utf-8"))
         print(f"decoded {len(records)} sources -> {args.output}")
     else:
         sys.stdout.write(lines)

@@ -113,6 +113,12 @@ class SharingPlan:
         return cls({tag: mode for tag in PRESETS[name]}, gamma=gamma, form=form)
 
 
+def tiles(start: int, stop: int) -> list[slice]:
+    """Cut [start, stop) into consecutive slices of `TILE` elements, the
+    last one shorter.  The first slice is the widest, so it sizes scratch."""
+    return [slice(a, min(a + TILE, stop)) for a in range(start, stop, TILE)]
+
+
 @dataclass(frozen=True)
 class Layout:
     """Where each of a task's arrays sits in one flat vector.
@@ -120,47 +126,35 @@ class Layout:
     The vector is a run of segments: the task's own buffer (its soft arrays
     first, tag by tag in `TAGS` order, then its private arrays), then one
     buffer per hard group, in `TAGS` order.  Within a tag, arrays go in
-    name order.  Every task of a registry has this layout, and gradient and
-    Adam moment arenas share it, so one slice names the same arrays in all.
+    name order, so each tag fills one span.  Every task of a registry has
+    this layout, and gradient and Adam moment arenas share it, so one slice
+    names the same arrays in all.
     """
 
     # flat key -> (segment, start, stop, shape), in `TaskParams.flat` order
     spans: Mapping[str, tuple[int, int, int, tuple[int, ...]]]
     segments: tuple[tuple[int, int], ...]  # (start, stop) of each segment
+    tag_spans: Mapping[str, tuple[int, int]]  # (start, stop) of each tag's arrays
     soft_size: int  # the soft arrays fill [0, soft_size)
-    # Runs of whole arrays of one tag, in vector order, each at most TILE
-    # elements unless one array is longer: (tag, start, stop, arrays), each
-    # array as (flat key, start, stop).  The soft tags' runs come first.
-    chunks: tuple[tuple[str, int, int, tuple[tuple[str, int, int], ...]], ...]
 
     @classmethod
     def build(cls, shapes: Mapping[str, Mapping[str, tuple[int, ...]]], plan: SharingPlan) -> "Layout":
         own = plan.soft_tags + tuple(t for t in TAGS if plan.mode(t) is Mode.PRIVATE)
         placed: dict[str, tuple[int, int, int, tuple[int, ...]]] = {}
-        segments = []
-        chunks = []
+        tag_spans = {}
         start = 0
         for seg, tags in enumerate((own, *((t,) for t in plan.hard_tags))):
-            first = start
             for tag in tags:
-                run: list[tuple[str, int, int]] = []
+                tag_start = start
                 for name in sorted(shapes[tag]):
-                    key, stop = f"{tag}/{name}", start + math.prod(shapes[tag][name])
-                    placed[key] = (seg, start, stop, tuple(shapes[tag][name]))
-                    if run and stop - run[0][1] > TILE:
-                        chunks.append((tag, run[0][1], run[-1][2], tuple(run)))
-                        run = []
-                    run.append((key, start, stop))
+                    stop = start + math.prod(shapes[tag][name])
+                    placed[f"{tag}/{name}"] = (seg, start, stop, tuple(shapes[tag][name]))
                     start = stop
-                chunks.append((tag, run[0][1], run[-1][2], tuple(run)))
-            segments.append((first, start))
-        soft_size = max((b for tag, _, b, _ in chunks if tag in plan.soft_tags), default=0)
+                tag_spans[tag] = (tag_start, start)
+        segments = ((0, tag_spans[own[-1]][1] if own else 0), *(tag_spans[t] for t in plan.hard_tags))
+        soft_size = max((tag_spans[t][1] for t in plan.soft_tags), default=0)
         spans = {f"{t}/{n}": placed[f"{t}/{n}"] for t in TAGS for n in sorted(shapes[t])}
-        return cls(spans, tuple(segments), soft_size, tuple(chunks))
-
-    @property
-    def soft_chunks(self) -> tuple:
-        return tuple(c for c in self.chunks if c[2] <= self.soft_size)
+        return cls(spans, segments, tag_spans, soft_size)
 
     @property
     def size(self) -> int:
@@ -202,9 +196,6 @@ class TaskParams:
 
     def __getitem__(self, tag: str) -> dict[str, Tensor]:
         return self.groups[tag]
-
-    def keys(self):
-        return self.groups.keys()
 
 
 class ParamRegistry:
@@ -267,101 +258,73 @@ class ParamRegistry:
             raise ContractError(f"unknown task {task!r}")
         return self.tasks[task]
 
-    def soft_penalty(
-        self, task: str, into: np.ndarray | None = None
-    ) -> tuple[float, dict[tuple[str, str], np.ndarray]]:
-        """Closed-form penalty value and gradients for one task's soft arrays.
+    def soft_penalty(self, task: str, grad: np.ndarray) -> float:
+        """Closed-form penalty value for one task's soft arrays, for both
+        forms; adds the penalty's gradient into the arena `grad`.
 
-        Training uses this for both forms.  Counterpart tasks are treated
-        as constants; their pull happens on their own steps.  With gamma 0,
-        no soft tag or a single task it returns ``(0.0, {})``.
-
-        The soft arrays are the first `layout.soft_size` elements of every
-        task's own buffer, so each pass runs over `layout.soft_chunks`.
-        Each array's squared distance is still its own sum, added in the
-        order of the per-array form, so the value is bitwise that form's.
-        Without `into`, the gradient comes back per pulled array; with it,
-        `into` (a gradient arena laid out by `layout`) has the gradient
-        added to its soft span, and the dict comes back empty.
+        Counterpart tasks are treated as constants; their pull happens on
+        their own steps.  With gamma 0, no soft tag or a single task it
+        returns 0.0 and leaves `grad` alone.  The soft arrays fill the first
+        `layout.soft_size` elements of every task's own buffer and of `grad`.
+        Each tag's span runs in `tiles`: a tile's squared distance to each
+        counterpart is one partial sum, added in tile order, and a tile's
+        pull from all counterparts is summed before it is added to `grad`.
         """
         gamma = self.plan.gamma
         if gamma == 0.0 or not self.plan.soft_tags or len(self.tasks) < 2:
-            return 0.0, {}
-        layout = self.layout
+            return 0.0
         squared = self.plan.form == SQUARED
         own = self.task(task).buffers[0]
         others = [t.buffers[0] for name, t in self.tasks.items() if name != task]
-        chunks = layout.soft_chunks
-        width = max(b - a for _, a, b, _ in chunks)
+        width = tiles(0, self.layout.soft_size)[0].stop
         diff, sq, pull = np.empty((3, width), dtype=own.dtype)
-        # Squared distance per (counterpart, tag): one partial sum per array.
-        parts: dict[tuple[int, str], list[float]] = {}
 
-        def measure(k: int, tag: str, a: int, arrays, d: np.ndarray) -> None:
-            s = np.multiply(d, d, out=sq[: d.size])
-            parts.setdefault((k, tag), []).extend(float(s[i - a : j - a].sum()) for _, i, j in arrays)
-
-        dist: dict[tuple[int, str], float] = {}
-        if not squared:  # the l2 gradient needs each distance first
-            for tag, a, b, arrays in chunks:
-                for k, other in enumerate(others):
-                    measure(k, tag, a, arrays, np.subtract(own[a:b], other[a:b], out=diff[: b - a]))
-            dist = {key: np.sqrt(sum(p)) for key, p in parts.items()}
-
-        grad = np.zeros(layout.soft_size, dtype=own.dtype) if into is None else into
-        pulled: set[str] = set()
-        for tag, a, b, arrays in chunks:
-            total = None
-            for k, other in enumerate(others):
-                if not squared and dist[k, tag] < ZERO_DISTANCE:
-                    continue
-                d = np.subtract(own[a:b], other[a:b], out=diff[: b - a])
-                if squared:
-                    measure(k, tag, a, arrays, d)
-                out = pull[: b - a] if total is None else sq[: b - a]
-                if squared:
-                    np.multiply(2.0 * gamma, d, out=out)
-                else:
-                    np.multiply(gamma, d, out=out)
-                    out /= dist[k, tag]
-                if total is None:
-                    total = out
-                else:
-                    total += out
-            if total is not None:
-                grad[a:b] += total
-                pulled.add(tag)
+        def distance2(other: np.ndarray, tile: slice) -> float:
+            # leaves own - other in `diff` for the pull
+            d = np.subtract(own[tile], other[tile], out=diff[: tile.stop - tile.start])
+            return float(np.multiply(d, d, out=sq[: d.size]).sum())
 
         value = 0.0
         for tag in self.plan.soft_tags:
+            cuts = tiles(*self.layout.tag_spans[tag])
+            # the l2 gradient divides by each distance, so it measures first
+            dist2 = [0.0 if squared else sum(distance2(o, t) for t in cuts) for o in others]
+            dist = [math.sqrt(x) for x in dist2]
+            for tile in cuts:
+                n = tile.stop - tile.start
+                total = None
+                for k, other in enumerate(others):
+                    if squared:
+                        dist2[k] += distance2(other, tile)
+                    elif dist[k] < ZERO_DISTANCE:
+                        continue
+                    else:
+                        np.subtract(own[tile], other[tile], out=diff[:n])
+                    out = pull[:n] if total is None else sq[:n]
+                    np.multiply(2.0 * gamma if squared else gamma, diff[:n], out=out)
+                    if not squared:
+                        out /= dist[k]
+                    total = out if total is None else np.add(total, out, out=total)
+                if total is not None:
+                    grad[tile] += total
             for k in range(len(others)):
-                if squared:
-                    value += gamma * sum(parts[k, tag])
-                else:
-                    value += gamma * dist[k, tag]
-        if into is not None:
-            return value, {}
-        grads = {}
-        for key, (_, a, b, shape) in layout.spans.items():
-            tag, name = key.split("/", 1)
-            if tag in pulled:
-                grads[(tag, name)] = grad[a:b].reshape(shape)
-        return value, grads
+                value += gamma * (dist2[k] if squared else dist[k])
+        return value
 
     def distance_report(self) -> dict[str, dict[tuple[str, str], float]]:
-        """Euclidean distance between every task pair, per tag."""
+        """Euclidean distance between every task pair, per tag, summed over
+        the `tiles` of the tag's span in each task's own buffer (the first
+        segment); a hard tag is one buffer, so its distance is 0.0."""
         names = sorted(self.tasks)
+        own = {name: params.buffers[0] for name, params in self.tasks.items()}
         report: dict[str, dict[tuple[str, str], float]] = {}
         for tag in TAGS:
-            pairs: dict[tuple[str, str], float] = {}
-            for i, a in enumerate(names):
-                for b in names[i + 1 :]:
-                    ga, gb = self.tasks[a].groups[tag], self.tasks[b].groups[tag]
-                    sq = sum(
-                        float(((ga[n].values - gb[n].values) ** 2).sum()) for n in ga
-                    )
-                    pairs[(a, b)] = float(np.sqrt(sq))
-            report[tag] = pairs
+            cuts = [] if self.plan.mode(tag) is Mode.HARD else tiles(*self.layout.tag_spans[tag])
+            report[tag] = {
+                (a, b): math.sqrt(sum(float(np.square(own[a][t] - own[b][t]).sum()) for t in cuts))
+                for i, a in enumerate(names)
+                for b in names[i + 1 :]
+            }
         return report
 
 

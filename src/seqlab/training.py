@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .checkpoint import Checkpoint, load_checkpoint, restore_task_params, save_checkpoint
+from .checkpoint import atomic_write, load_checkpoint, restore_task_params, save_checkpoint
 from .data import (
     Batch,
     EncodedExample,
@@ -33,8 +33,8 @@ from .data import (
 )
 from .errors import ContractError, NumericError
 from .model import ModelConfig, forward_loss
-from .sharing import TILE, Layout, ParamRegistry, TaskParams
-from .tensor import Tensor, backward, no_grad
+from .sharing import Layout, ParamRegistry, TaskParams, tiles
+from .tensor import backward, no_grad
 
 __all__ = [
     "TrainConfig",
@@ -159,45 +159,32 @@ def mixing_scheduler(
 # Gradient transforms and optimizer
 
 
-def clip_gradients(
-    grads: dict[str, np.ndarray] | np.ndarray, max_norm: float, layout: Layout | None = None
-) -> tuple[dict[str, np.ndarray] | np.ndarray, float]:
-    """Scale all gradients in place by max_norm/g when the global L2 norm g
-    exceeds max_norm; otherwise leave them untouched.  Returns (grads, raw
-    norm).
+def clip_gradients(grads: np.ndarray, max_norm: float, layout: Layout) -> float:
+    """Scale a flat gradient arena laid out by `layout` in place by
+    max_norm/g when its global L2 norm g exceeds max_norm; otherwise leave
+    it untouched.  Returns the raw norm.
 
-    With `layout`, `grads` is one flat gradient arena laid out by it: the
-    squares run once per chunk of whole arrays and the scaling once over
-    the arena.  Either form adds one partial sum per array, in the order of
-    the dict or of `layout.spans`, so both give the same bits.
+    The squares are summed one partial sum per tile of `tiles`, added in
+    arena order.  A squared norm that is not finite raises `NumericError`
+    naming the first array whose squared sum is not finite, or saying that
+    the norm overflowed when every array's sum is finite.
     """
     if max_norm <= 0:
         raise ContractError(f"clip_gradients: max_norm must be > 0, got {max_norm}")
-    if layout is None:
-        partial = {name: float(np.sum(g * g)) for name, g in grads.items()}
-    else:
-        found = {}
-        width = max(b - a for _, a, b, _ in layout.chunks)
-        squares = np.empty(width, dtype=grads.dtype)
-        for _, a, b, arrays in layout.chunks:
-            sq = np.multiply(grads[a:b], grads[a:b], out=squares[: b - a])
-            for key, i, j in arrays:
-                found[key] = float(sq[i - a : j - a].sum())
-        partial = {key: found[key] for key in layout.spans}
+    cuts = tiles(0, grads.size)
+    squares = np.empty(cuts[0].stop, dtype=grads.dtype)
     total = 0.0
-    for name, sq in partial.items():
-        if not math.isfinite(sq):
-            raise NumericError(f"non-finite gradient for parameter {name}")
-        total += sq
+    for tile in cuts:
+        total += float(np.multiply(grads[tile], grads[tile], out=squares[: tile.stop - tile.start]).sum())
+    if not math.isfinite(total):
+        for name, g in layout.views(grads).items():
+            if not math.isfinite(float(np.sum(g * g))):
+                raise NumericError(f"non-finite gradient for parameter {name}")
+        raise NumericError(f"the gradient norm overflowed (squared norm {total})")
     norm = math.sqrt(total)
     if norm > max_norm:
-        factor = max_norm / norm
-        if layout is not None:
-            grads *= factor
-        else:
-            for g in grads.values():
-                g *= factor
-    return grads, norm
+        grads *= max_norm / norm
+    return norm
 
 
 class AdamState:
@@ -219,8 +206,8 @@ class AdamState:
 
 
 def adam_step(
-    params: TaskParams | dict[str, Tensor],
-    grads: np.ndarray | dict[str, np.ndarray],
+    params: TaskParams,
+    grads: np.ndarray,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
@@ -231,36 +218,19 @@ def adam_step(
 
     Each element gets x -= lr (m / correct1) / (sqrt(v / correct2) + eps),
     rounded one operation at a time in the order that expression reads.
-    With a `TaskParams`, `grads` is a flat gradient arena laid out like it
-    and `state` its `AdamState`: the update runs over each parameter buffer
-    with its slices of the arenas.  With a dict of tensors, each array runs
-    alone.  Either way the op sequence runs in tiles of `TILE` elements,
-    through two scratch tiles, and every element rounds as it would alone.
+    `grads` is a flat gradient arena laid out like `params` and `state` its
+    `AdamState`: the update runs over each parameter buffer with its slices
+    of the arenas, in `tiles`, through two scratch tiles.
     """
-    if isinstance(params, TaskParams):
-        spans = [
-            (x, grads[a:b], state.flat_m[a:b], state.flat_v[a:b])
-            for x, (a, b) in zip(params.buffers, params.layout.segments)
-        ]
-    else:
-        missing = params.keys() - grads.keys()
-        if missing:
-            raise ContractError(f"adam_step: no gradient for {sorted(missing)[0]}")
-        spans = [
-            (t.values.reshape(-1), grads[k].reshape(-1), state.m[k].reshape(-1), state.v[k].reshape(-1))
-            for k, t in params.items()
-        ]
     state.t += 1
     correct1 = 1.0 - beta1**state.t
     correct2 = 1.0 - beta2**state.t
-    pool: dict[np.dtype, np.ndarray] = {}
-    for x, g, m, v in spans:
-        if x.dtype not in pool:
-            pool[x.dtype] = np.empty((2, TILE), dtype=x.dtype)
-        for start in range(0, x.size, TILE):
-            tile = slice(start, start + TILE)
+    scratch = np.empty((2, tiles(0, grads.size)[0].stop), dtype=grads.dtype)
+    for x, (a, b) in zip(params.buffers, params.layout.segments):
+        g, m, v = grads[a:b], state.flat_m[a:b], state.flat_v[a:b]
+        for tile in tiles(0, x.size):
             xt, gt, mt, vt = x[tile], g[tile], m[tile], v[tile]
-            step, denom = pool[x.dtype][:, : xt.size]
+            step, denom = scratch[:, : xt.size]
             mt *= beta1
             np.multiply(gt, 1.0 - beta1, out=step)
             mt += step
@@ -286,27 +256,24 @@ def penalty_descent(
     Round-robins plain gradient-descent steps on the soft penalty alone and
     returns the aggregate shared-tag distance after every step (index 0 is
     the starting distance).  Small `lr` keeps each step a pure contraction
-    of every pairwise gap, so the trajectory decreases monotonically.
+    of every pairwise gap, so the trajectory decreases monotonically.  Each
+    step subtracts lr times the penalty's gradient arena from the soft span
+    of the task's own buffer.
     """
     if registry.plan.gamma <= 0:
         raise ContractError("penalty_descent needs gamma > 0")
 
     def total_distance() -> float:
         report = registry.distance_report()
-        return sum(
-            dist
-            for tag in registry.plan.soft_tags
-            for dist in report[tag].values()
-        )
+        return sum(d for tag in registry.plan.soft_tags for d in report[tag].values())
 
     trajectory = [total_distance()]
-    order = list(registry.tasks)
+    order = list(registry.tasks.values())
     for i in range(steps):
         task = order[i % len(order)]
-        _, grads = registry.soft_penalty(task)
-        groups = registry.task(task).groups
-        for (tag, name), g in grads.items():
-            groups[tag][name].values -= lr * g
+        grad = np.zeros(registry.layout.soft_size, dtype=task.buffers[0].dtype)
+        registry.soft_penalty(task.task, grad)
+        task.buffers[0][: grad.size] -= lr * grad
         trajectory.append(total_distance())
     return trajectory
 
@@ -466,17 +433,16 @@ def _train_step(
     model_total = float(parts.total.values)
     if not math.isfinite(model_total):
         return {"total": model_total}
-    into = registry.layout.views(grad).values()
-    backward(parts.total, wrt=params.flat().values(), into=into)
+    backward(parts.total, wrt=params.flat().values(), into=registry.layout.views(grad).values())
     nll = float(parts.nll.values)
     l_cov = float(parts.coverage.values) if parts.coverage is not None else 0.0
     del parts
 
-    penalty_value, _ = registry.soft_penalty(task, into=grad)
+    penalty_value = registry.soft_penalty(task, grad)
     total = model_total + penalty_value
     if not math.isfinite(total):
         return {"total": total}
-    _, grad_norm = clip_gradients(grad, tconf.clip_norm, registry.layout)
+    grad_norm = clip_gradients(grad, tconf.clip_norm, registry.layout)
     adam_step(params, grad, adam, lr)
     return {
         "grad_norm": grad_norm,
@@ -549,7 +515,8 @@ def train(
             "plan": registry.plan.describe(),
             "tasks": names,
         }
-        (run_dir / CONFIG_NAME).write_text(json.dumps(echo, indent=2) + "\n")
+        with atomic_write(run_dir / CONFIG_NAME) as fh:
+            fh.write((json.dumps(echo, indent=2) + "\n").encode())
 
         enc_train = {
             n: [encode_example(ex, by_name[n].vocab) for ex in by_name[n].corpora.train]
@@ -684,7 +651,8 @@ def train(
                 f"{tconf.patience} consecutive evaluations"
             ),
         }
-        (run_dir / META_NAME).write_text(json.dumps(meta, indent=2) + "\n")
+        with atomic_write(run_dir / META_NAME) as fh:
+            fh.write((json.dumps(meta, indent=2) + "\n").encode())
         return RunResult(
             run_dir=run_dir,
             steps=step,

@@ -268,6 +268,24 @@ class TestDecodeCommand:
             assert isinstance(rec["hypothesis"], str)
             assert isinstance(rec["score"], float)
 
+    def test_output_replaces_the_file_atomically(self, trained, tmp_path, monkeypatch):
+        out = tmp_path / "decoded.jsonl"
+        out.write_text("an earlier decode\n")
+        written = []
+        real = cli.atomic_write
+
+        def spy(path):
+            written.append(Path(path))
+            return real(path)
+
+        monkeypatch.setattr(cli, "atomic_write", spy)
+        rc = main(["decode", "--checkpoint", str(trained["checkpoint"]),
+                   "--input", str(trained["root"] / "test.jsonl"), "--output", str(out)])
+        assert rc == EXIT_OK
+        assert written == [out]
+        assert os.listdir(tmp_path) == ["decoded.jsonl"]
+        assert len(out.read_text().splitlines()) == len(trained["corpora"].test)
+
     def test_decode_without_references(self, trained, tmp_path, capsys):
         src = tmp_path / "sources.jsonl"
         src.write_text('{"source": "w00 w01"}\n{"source": "w02 w03 w04"}\n')

@@ -1,5 +1,7 @@
 """Sharing plans, the parameter registry, and the soft penalty."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from seqlab.sharing import (
     PRESETS,
     SharingPlan,
     single_task_params,
+    tiles,
 )
 from seqlab.tensor import add, backward, multiply, reduce_sum, scale, subtract, tensor
 
@@ -169,6 +172,13 @@ def two_task_registry(gamma, form="squared", tags=("E2", "Attn", "D1")):
     return reg, reg.add_task("a"), reg.add_task("b")
 
 
+def penalty(reg, task):
+    """The penalty value, and its gradient added into a zero arena, per array."""
+    arena = np.zeros(reg.layout.size)
+    value = reg.soft_penalty(task, arena)
+    return value, reg.layout.views(arena)
+
+
 class TestSoftPenalty:
     def test_known_value_squared(self):
         reg, a, b = two_task_registry(gamma=0.5, tags=("Attn",))
@@ -177,21 +187,23 @@ class TestSoftPenalty:
             for name, tt in t.groups["Attn"].items():
                 tt.values[:] = 0.0
         a.groups["Attn"]["score_v"].values[:2] = [1.0, 2.0]
-        value, grads = reg.soft_penalty("a")
+        value, grads = penalty(reg, "a")
         assert value == pytest.approx(0.5 * 5.0)
-        np.testing.assert_allclose(grads[("Attn", "score_v")][:2], [1.0, 2.0])
+        np.testing.assert_allclose(grads["Attn/score_v"][:2], [1.0, 2.0])
 
     def test_gamma_zero_is_empty(self):
         reg, _, _ = two_task_registry(gamma=0.0)
-        value, grads = reg.soft_penalty("a")
-        assert value == 0.0 and grads == {}
+        value, grads = penalty(reg, "a")
+        assert value == 0.0
+        assert not any(g.any() for g in grads.values())
 
     def test_single_task_has_no_penalty(self):
         cfg = tiny_config()
         reg = ParamRegistry(cfg, SharingPlan.preset("final", gamma=1.0), seed=1)
         reg.add_task("only")
-        value, grads = reg.soft_penalty("only")
-        assert value == 0.0 and grads == {}
+        value, grads = penalty(reg, "only")
+        assert value == 0.0
+        assert not any(g.any() for g in grads.values())
 
     def test_graph_matches_closed_form(self):
         # autodiff reference built from tensor ops, counterparts as constants,
@@ -208,18 +220,21 @@ class TestSoftPenalty:
                     graph = term if graph is None else add(graph, term)
         graph = scale(graph, reg.plan.gamma)
 
-        value, grads = reg.soft_penalty("a")
+        value, grads = penalty(reg, "a")
         assert graph.item() == pytest.approx(value, rel=1e-12)
         leaf_grads = backward(graph)
-        expected_keys = {(t, n) for t in reg.plan.soft_tags for n in a.groups[t]}
-        assert set(grads) == expected_keys
-        for (tag, name), g in grads.items():
-            np.testing.assert_allclose(leaf_grads[a.groups[tag][name]], g, atol=1e-12)
+        for tag, name, t in a.named():
+            g = grads[f"{tag}/{name}"]
+            if tag in reg.plan.soft_tags:
+                np.testing.assert_allclose(leaf_grads[t], g, atol=1e-12)
+                assert g.any()
+            else:
+                assert not g.any(), f"{tag}/{name}"
 
     def test_penalty_symmetric_between_tasks(self):
         reg, _, _ = two_task_registry(gamma=0.3)
-        va, _ = reg.soft_penalty("a")
-        vb, _ = reg.soft_penalty("b")
+        va, _ = penalty(reg, "a")
+        vb, _ = penalty(reg, "b")
         assert va == pytest.approx(vb)
         assert va > 0  # random inits differ
 
@@ -238,7 +253,7 @@ class TestSoftPenalty:
 
         a, b, c = (reg.task(n) for n in "abc")
         expect = dist2(a, b) + dist2(a, c)
-        value, _ = reg.soft_penalty("a")
+        value, _ = penalty(reg, "a")
         assert value == pytest.approx(expect, rel=1e-12)
 
     def test_euclidean_form_value_and_gradient(self):
@@ -248,18 +263,18 @@ class TestSoftPenalty:
             for n in a.groups["Attn"]
         }
         dist = np.sqrt(sum((d ** 2).sum() for d in diffs.values()))
-        value, grads = reg.soft_penalty("a")
+        value, grads = penalty(reg, "a")
         assert value == pytest.approx(2.0 * dist, rel=1e-12)
         for n, d in diffs.items():
-            np.testing.assert_allclose(grads[("Attn", n)], 2.0 * d / dist, atol=1e-12)
+            np.testing.assert_allclose(grads[f"Attn/{n}"], 2.0 * d / dist, atol=1e-12)
 
     def test_euclidean_gradient_vanishes_at_zero_distance(self):
         reg, a, b = two_task_registry(gamma=2.0, form=EUCLIDEAN, tags=("Attn",))
         for name, t in a.groups["Attn"].items():
             b.groups["Attn"][name].values[:] = t.values
-        value, grads = reg.soft_penalty("a")
+        value, grads = penalty(reg, "a")
         assert value == 0.0
-        assert grads == {}
+        assert not any(g.any() for g in grads.values())
 
     @pytest.mark.parametrize("form", [SQUARED, EUCLIDEAN])
     def test_closed_form_matches_finite_difference(self, form):
@@ -267,41 +282,59 @@ class TestSoftPenalty:
         # function numerically at every entry of every array of one soft
         # tag, no autodiff involved
         reg, a, _ = two_task_registry(gamma=0.7, form=form, tags=("Attn",))
-        _, grads = reg.soft_penalty("a")
-        assert set(grads) == {("Attn", n) for n in a.groups["Attn"]}
+        _, grads = penalty(reg, "a")
         h = 1e-6
         for name, t in a.groups["Attn"].items():
             arr = t.values.reshape(-1)
             for i in range(arr.size):
                 keep = arr[i]
                 arr[i] = keep + h
-                up, _ = reg.soft_penalty("a")
+                up, _ = penalty(reg, "a")
                 arr[i] = keep - h
-                down, _ = reg.soft_penalty("a")
+                down, _ = penalty(reg, "a")
                 arr[i] = keep
                 numeric = (up - down) / (2 * h)
-                assert numeric == pytest.approx(grads[("Attn", name)].reshape(-1)[i], abs=1e-6)
-
+                assert numeric == pytest.approx(grads[f"Attn/{name}"].reshape(-1)[i], abs=1e-6)
 
     @pytest.mark.parametrize("form", [SQUARED, EUCLIDEAN])
-    def test_into_adds_the_returned_gradient_in_place(self, form):
-        # `into` receives exactly what the dict form returns, added to what
-        # it held, bit for bit, and nothing outside the pulled arrays moves
+    def test_adds_into_the_soft_span_only(self, form):
+        # the arena keeps what it held: the gradient is added to its first
+        # `soft_size` elements, bit for bit, and nothing after them moves
         cfg = tiny_config()
         reg = ParamRegistry(cfg, SharingPlan.preset("final", gamma=0.3, form=form), seed=5)
         for name in "abc":
             reg.add_task(name)
-        value, grads = reg.soft_penalty("a")
+        alone = np.zeros(reg.layout.size)
+        value = reg.soft_penalty("a", alone)
         held = np.random.default_rng(0).normal(size=reg.layout.size)
-        into = held.copy()
-        assert reg.soft_penalty("a", into=into) == (value, {})
-        want = reg.layout.views(held)
-        for (tag, name), g in grads.items():
-            want[f"{tag}/{name}"] = want[f"{tag}/{name}"] + g
-        got = reg.layout.views(into)
-        assert len(grads) == sum(len(a) for _, _, _, a in reg.layout.soft_chunks)
-        for key, arr in want.items():
-            np.testing.assert_array_equal(got[key], arr, err_msg=key)
+        arena = held.copy()
+        assert reg.soft_penalty("a", arena) == value
+        soft = reg.layout.soft_size
+        assert alone[:soft].all() and not alone[soft:].any()
+        np.testing.assert_array_equal(arena[:soft], held[:soft] + alone[:soft])
+        np.testing.assert_array_equal(arena[soft:], held[soft:])
+
+    @pytest.mark.parametrize("form", [SQUARED, EUCLIDEAN])
+    def test_tiles_of_a_tag_sum_like_one_array(self, form):
+        # a soft tag wider than one tile: the value is the per-tile partial
+        # sums' total, within a few ulps of the exact sum, and the gradient
+        # is elementwise, so it equals the whole-array expression bit for bit
+        cfg = tiny_config(hidden=48)
+        reg = ParamRegistry(cfg, SharingPlan({"E2": Mode.SOFT}, gamma=0.3, form=form), seed=5)
+        a, b = reg.add_task("a"), reg.add_task("b")
+        start, stop = reg.layout.tag_spans["E2"]
+        assert stop - start > TILE
+        d = a.buffers[0][start:stop] - b.buffers[0][start:stop]
+        dist2 = math.fsum(d * d)
+        value, _ = penalty(reg, "a")
+        arena = np.zeros(reg.layout.size)
+        reg.soft_penalty("a", arena)
+        if form == SQUARED:
+            assert abs(value - 0.3 * dist2) <= 4 * math.ulp(value)
+            np.testing.assert_array_equal(arena[start:stop], 0.0 + 2.0 * 0.3 * d)
+        else:
+            assert abs(value - 0.3 * math.sqrt(dist2)) <= 4 * math.ulp(value)
+            np.testing.assert_allclose(arena[start:stop], 0.3 * d / math.sqrt(dist2), rtol=1e-14)
 
 
 def per_array_draws(cfg, plan, seed, init_range, tasks):
@@ -367,9 +400,28 @@ class TestArena:
         assert soft[0][1] == 0
         assert all(x[2] == y[1] for x, y in zip(soft, soft[1:]))  # in order, no gaps
         assert soft[-1][2] == reg.layout.soft_size
-        for _, a, b, arrays in reg.layout.chunks:
-            assert b - a <= TILE or len(arrays) == 1
-            assert (arrays[0][1], arrays[-1][2]) == (a, b)
+
+    @pytest.mark.parametrize("plan", ARENA_PLANS.values(), ids=ARENA_PLANS)
+    def test_tag_spans(self, plan):
+        # each tag's span holds exactly its arrays, the soft spans tile
+        # [0, soft_size), and each hard tag fills its own segment
+        layout = ParamRegistry(tiny_config(), plan, seed=3).layout
+        for tag, (start, stop) in layout.tag_spans.items():
+            inside = sorted((a, b) for key, (_, a, b, _) in layout.spans.items() if key.split("/")[0] == tag)
+            assert inside[0][0] == start and inside[-1][1] == stop
+            assert all(x[1] == y[0] for x, y in zip(inside, inside[1:]))
+        assert set(layout.tag_spans) == set(TAGS)
+        soft = [layout.tag_spans[t] for t in plan.soft_tags]
+        edges = [0] + [b for _, b in soft]
+        assert soft == list(zip(edges, edges[1:]))
+        assert layout.soft_size == edges[-1]
+        assert [layout.tag_spans[t] for t in plan.hard_tags] == list(layout.segments[1:])
+
+    def test_tiles(self):
+        assert tiles(0, 0) == []
+        assert tiles(5, 6) == [slice(5, 6)]
+        assert tiles(3, 3 + TILE) == [slice(3, 3 + TILE)]
+        assert tiles(0, 2 * TILE + 1) == [slice(0, TILE), slice(TILE, 2 * TILE), slice(2 * TILE, 2 * TILE + 1)]
 
     @pytest.mark.parametrize("plan", ARENA_PLANS.values(), ids=ARENA_PLANS)
     def test_fresh_parameters_match_per_array_draws(self, plan):
@@ -402,6 +454,18 @@ class TestDistanceReport:
                 b.groups[tag][name].values[:] = t.values
         report = reg.distance_report()
         assert all(v == 0.0 for pairs in report.values() for v in pairs.values())
+
+    def test_distance_is_near_the_exact_one(self):
+        # summed per tile over each tag's span, within a few ulps of the
+        # correctly rounded distance
+        reg = ParamRegistry(tiny_config(hidden=48), SharingPlan.preset("final", gamma=0.1), seed=2)
+        a, b = reg.add_task("a"), reg.add_task("b")
+        report = reg.distance_report()
+        for tag in TAGS:
+            d = np.concatenate([a[tag][n].values.ravel() - b[tag][n].values.ravel() for n in sorted(a[tag])])
+            want = math.sqrt(math.fsum(d * d))
+            assert abs(report[tag][("a", "b")] - want) <= 4 * math.ulp(want), tag
+        assert reg.layout.tag_spans["E2"][1] - reg.layout.tag_spans["E2"][0] > TILE
 
     def test_report_covers_all_tags_and_pairs(self):
         cfg = tiny_config()
