@@ -4,14 +4,16 @@ The graph is built eagerly: every operation returns a fresh :class:`Tensor`
 holding its forward value plus an op record (operation name, parent tensors,
 and a closure mapping the output adjoint to parent adjoints).  Leaves carry
 no record.  :func:`backward` walks the graph once in reverse topological
-order and returns the total adjoint of every leaf it reaches.
+order and sums the adjoint of each leaf it is asked for into that leaf's
+own array; every other leaf is a constant, and its adjoint is dropped.
 
 Conventions that the rest of the package relies on:
 
 * float64 values by default; float32 works but leaves less headroom for
   gradient checks.
-* Graphs are rebuilt from scratch every step.  ``backward`` returns fresh
-  adjoints and stores nothing on the tensors, so nothing accumulates.
+* Graphs are rebuilt from scratch every step.  ``backward`` overwrites the
+  arrays it sums into (fresh ones unless the caller passes its own) and
+  stores nothing on the tensors, so nothing accumulates across calls.
 * Elementwise operations follow numpy broadcasting; the adjoint of a
   broadcast input is summed back down to its original shape.
 * ``minimum`` routes the full adjoint to its first argument on exact ties.
@@ -827,34 +829,37 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 def backward(
     root: Tensor,
-    wrt: Iterable[Tensor] | None = None,
+    wrt: Iterable[Tensor],
     into: Iterable[np.ndarray] | None = None,
 ) -> dict[Tensor, np.ndarray]:
     """Run reverse-mode accumulation from a scalar `root`.
 
-    Returns a map from every reachable leaf to its total adjoint.  Leaves
-    listed in `wrt` that the graph never touches come back as zeros.
-
-    With `into`, one array per `wrt` leaf and of its shape, each leaf's
-    adjoint is written into its array, summed there in place as each VJP
-    hands it over, and the map holds the `wrt` leaves alone.  Leaves not in
-    `wrt` are constants: their adjoints are dropped, not summed.
+    Returns a map from each `wrt` leaf, in `wrt` order, to its total
+    adjoint.  Each adjoint is summed in its own array as the VJPs hand it
+    over: the first contribution is copied in, later ones are added in
+    place.  The arrays are `into`, one per `wrt` leaf and of its shape, or
+    fresh arrays of each leaf's shape and dtype.  A `wrt` leaf the graph
+    never reaches gets zeros, and a root that is itself a `wrt` leaf gets
+    ones.  Leaves not in `wrt` are constants: their adjoints are dropped.
     """
     if root.values.size != 1:
         raise ContractError(f"backward: root must be scalar, got shape {root.shape}")
-    slots: dict[int, np.ndarray] | None = None
-    if into is not None:
-        if wrt is None:
-            raise ContractError("backward: `into` needs `wrt`")
-        wrt = list(wrt)
-        into = list(into)
-        if len(into) != len(wrt):
-            raise ContractError(f"backward: {len(into)} arrays in `into` for {len(wrt)} leaves")
-        slots = {id(leaf): out for leaf, out in zip(wrt, into)}
-        written: set[int] = set()
+    wrt = list(wrt)
+    into = [np.empty(t.shape, t.values.dtype) for t in wrt] if into is None else list(into)
+    if len(into) != len(wrt):
+        raise ContractError(f"backward: {len(into)} arrays in `into` for {len(wrt)} leaves")
+    slots: dict[int, np.ndarray] = {}
+    for i, (leaf, out) in enumerate(zip(wrt, into)):
+        if id(leaf) in slots:
+            j = next(j for j, t in enumerate(wrt) if t is leaf)
+            raise ContractError(f"backward: wrt[{i}] repeats the leaf of wrt[{j}]")
+        if out.shape != leaf.shape:
+            raise ContractError(f"backward: into[{i}] has shape {out.shape}, its leaf {leaf.shape}")
+        slots[id(leaf)] = out
+    written: set[int] = set()
 
     def deposit(leaf: Tensor, g) -> None:
-        # Add a leaf's adjoint to its `into` array: the first one is copied.
+        # Add a leaf's adjoint to its array: the first one is copied.
         out = slots.get(id(leaf))
         if out is None:
             return
@@ -866,37 +871,25 @@ def backward(
 
     order = _toposort(root)
     adjoint: dict[int, np.ndarray] = {id(root): np.ones_like(root.values)}
-    leaves: dict[Tensor, np.ndarray] = {}
     for node in reversed(order):
         g = adjoint.pop(id(node), None)
         if g is None:
             continue
-        if node.op is None:
-            if slots is not None:
-                deposit(node, g)
-                continue
-            g = np.asarray(g)
-            prev = leaves.get(node)
-            leaves[node] = g if prev is None else prev + g
+        if node.op is None:  # only a root leaf: other leaves take no entry
+            deposit(node, g)
             continue
         for parent, pg in zip(node.parents, node._vjp(g)):
             if pg is None:
                 continue
-            if slots is not None and parent.op is None:
+            if parent.op is None:
                 deposit(parent, pg)
                 continue
             have = adjoint.get(id(parent))
             adjoint[id(parent)] = pg if have is None else have + pg
-    if slots is not None:
-        for leaf, out in zip(wrt, into):
-            if id(leaf) not in written:
-                out.fill(0)
-        return dict(zip(wrt, into))
-    if wrt is not None:
-        for leaf in wrt:
-            if leaf not in leaves:
-                leaves[leaf] = np.zeros_like(leaf.values)
-    return leaves
+    for leaf, out in zip(wrt, into):
+        if id(leaf) not in written:
+            out.fill(0)
+    return dict(zip(wrt, into))
 
 
 # ---------------------------------------------------------------------------

@@ -205,44 +205,40 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(
-    params: TaskParams,
-    grads: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
+# Adam's moment decay rates and denominator floor (the usual defaults).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(params: TaskParams, grads: np.ndarray, state: AdamState, lr: float) -> AdamState:
     """Standard bias-corrected Adam update, applied to the arrays in place.
 
-    Each element gets x -= lr (m / correct1) / (sqrt(v / correct2) + eps),
+    Each element gets x -= lr (m / correct1) / (sqrt(v / correct2) + ADAM_EPS),
     rounded one operation at a time in the order that expression reads.
     `grads` is a flat gradient arena laid out like `params` and `state` its
     `AdamState`: the update runs over each parameter buffer with its slices
     of the arenas, in `tiles`, through two scratch tiles.
     """
     state.t += 1
-    correct1 = 1.0 - beta1**state.t
-    correct2 = 1.0 - beta2**state.t
+    correct1 = 1.0 - ADAM_BETA1**state.t
+    correct2 = 1.0 - ADAM_BETA2**state.t
     scratch = np.empty((2, tiles(0, grads.size)[0].stop), dtype=grads.dtype)
     for x, (a, b) in zip(params.buffers, params.layout.segments):
         g, m, v = grads[a:b], state.flat_m[a:b], state.flat_v[a:b]
         for tile in tiles(0, x.size):
             xt, gt, mt, vt = x[tile], g[tile], m[tile], v[tile]
             step, denom = scratch[:, : xt.size]
-            mt *= beta1
-            np.multiply(gt, 1.0 - beta1, out=step)
+            mt *= ADAM_BETA1
+            np.multiply(gt, 1.0 - ADAM_BETA1, out=step)
             mt += step
-            vt *= beta2
+            vt *= ADAM_BETA2
             np.multiply(gt, gt, out=step)
-            step *= 1.0 - beta2
+            step *= 1.0 - ADAM_BETA2
             vt += step
             np.divide(mt, correct1, out=step)
             step *= lr
             np.divide(vt, correct2, out=denom)
             np.sqrt(denom, out=denom)
-            denom += eps
+            denom += ADAM_EPS
             step /= denom
             xt -= step
     return state
@@ -486,8 +482,10 @@ def train(
     `Checkpoint.digest`, not its path, so the log does not depend on where
     the run's inputs live.
 
-    A non-finite loss aborts the run with NumericError; checkpoints already
-    on disk are kept.  A non-finite model loss aborts before `backward`.
+    A non-finite loss, or a non-finite gradient under a finite loss, aborts
+    the run with NumericError after an `abort` record naming the step and
+    task; checkpoints already on disk are kept.  A non-finite model loss
+    aborts before `backward`.
     """
     if len(tasks) != len(tconf.ratios):
         raise ContractError(
@@ -580,21 +578,28 @@ def train(
                 )
                 ckpt_steps.append(step_now)
 
+            def diverged(reason: str, **fields) -> NumericError:
+                # Log the `abort` record of the current step and build its error.
+                _log(log, kind="abort", step=step, task=task, **fields)
+                return NumericError(
+                    f"training diverged at step {step} on task {task!r} "
+                    f"({reason}); last-good checkpoints kept in {run_dir / CHECKPOINT_DIR}"
+                )
+
             while step < tconf.max_steps:
                 step += 1
                 task = next(schedule)
                 # The tasks this step trains with coverage; checkpoints record them.
                 covered = [n for n in names if task_cfg[n].use_coverage]
-                record = _train_step(
-                    registry, task, task_cfg[task], next(iters[task]), adam[task], lr, tconf, grad
-                )
-                if not math.isfinite(record["total"]):
-                    _log(log, kind="abort", step=step, task=task, total=record["total"])
-                    raise NumericError(
-                        f"training diverged at step {step} on task {task!r} "
-                        f"(loss {record['total']}); last-good checkpoints kept in "
-                        f"{run_dir / CHECKPOINT_DIR}"
+                try:
+                    record = _train_step(
+                        registry, task, task_cfg[task], next(iters[task]), adam[task], lr, tconf,
+                        grad,
                     )
+                except NumericError as exc:  # a non-finite gradient under a finite loss
+                    raise diverged(str(exc), error=str(exc)) from exc
+                if not math.isfinite(record["total"]):
+                    raise diverged(f"loss {record['total']}", total=record["total"])
                 _log(log, kind="train", step=step, task=task, lr=lr, **record)
 
                 if step % tconf.val_every == 0:

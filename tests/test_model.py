@@ -633,9 +633,9 @@ class TestModelGradients:
         assert report.passed, report.summary()
 
     def test_backward_into_matches_the_adjoint_map(self):
-        """`backward(..., into=...)` writes, bit for bit, the adjoints the
-        map form returns, on a gate-size copy-oov batch with coverage, and
-        hands back no constant leaf's adjoint: the graph holds 7."""
+        """`backward(..., into=...)` writes into the training arena, bit for
+        bit, the adjoints it returns in fresh arrays without `into`, on a
+        gate-size copy-oov batch with coverage."""
         from seqlab.data import SynthSpec, make_task_corpora
         from seqlab.sharing import ParamRegistry, SharingPlan
 
@@ -649,8 +649,6 @@ class TestModelGradients:
         wrt = params.flat()
 
         want = backward(forward_loss(params, cfg, batch).total, wrt=wrt.values())
-        constants = [leaf for leaf in want if all(leaf is not t for t in wrt.values())]
-        assert len(want) == 47 and len(constants) == 7
 
         arena = np.full(reg.layout.size, np.nan)
         views = reg.layout.views(arena)

@@ -222,7 +222,7 @@ class TestSoftPenalty:
 
         value, grads = penalty(reg, "a")
         assert graph.item() == pytest.approx(value, rel=1e-12)
-        leaf_grads = backward(graph)
+        leaf_grads = backward(graph, wrt=[t for _, _, t in a.named()])
         for tag, name, t in a.named():
             g = grads[f"{tag}/{name}"]
             if tag in reg.plan.soft_tags:

@@ -159,7 +159,7 @@ class TestShapeErrors:
     def test_backward_requires_scalar_root(self):
         x = tensor([1.0, 2.0])
         with pytest.raises(ContractError, match="scalar"):
-            backward(add(x, x))
+            backward(add(x, x), wrt=[x])
 
 
 # Every op that builds a tape node: its name -> a builder that, given a
@@ -208,36 +208,36 @@ def test_recording_ops_cover_every_op():
 class TestBackwardBasics:
     def test_sum_gradient_is_ones(self):
         x = tensor(np.arange(6.0).reshape(2, 3))
-        grads = backward(reduce_sum(x))
+        grads = backward(reduce_sum(x), wrt=[x])
         np.testing.assert_array_equal(grads[x], np.ones((2, 3)))
 
     def test_linearity_of_adjoints(self):
         a, b = tensor(2.0), tensor(3.0)
-        grads = backward(add(a, b))
+        grads = backward(add(a, b), wrt=[a, b])
         assert grads[a] == 1.0 and grads[b] == 1.0
 
     def test_reuse_accumulates(self):
         x = tensor([1.5])
-        grads = backward(reduce_sum(add(x, x)))
+        grads = backward(reduce_sum(add(x, x)), wrt=[x])
         np.testing.assert_array_equal(grads[x], [2.0])
 
     def test_quadratic_gradient_exact(self):
         v = np.array([1.0, -2.0, 0.5])
         x = tensor(v)
-        grads = backward(reduce_sum(multiply(x, x)))
+        grads = backward(reduce_sum(multiply(x, x)), wrt=[x])
         np.testing.assert_allclose(grads[x], 2 * v, rtol=0, atol=0)
 
     def test_minimum_routes_to_smaller_argument(self):
         a = tensor([0.6, 0.4])
         b = tensor([0.5, 1.0])
-        grads = backward(reduce_sum(minimum(a, b)))
+        grads = backward(reduce_sum(minimum(a, b)), wrt=[a, b])
         np.testing.assert_array_equal(grads[a], [0.0, 1.0])
         np.testing.assert_array_equal(grads[b], [1.0, 0.0])
 
     def test_minimum_tie_routes_to_first_argument(self):
         a = tensor([1.0])
         b = tensor([1.0])
-        grads = backward(reduce_sum(minimum(a, b)))
+        grads = backward(reduce_sum(minimum(a, b)), wrt=[a, b])
         np.testing.assert_array_equal(grads[a], [1.0])
         np.testing.assert_array_equal(grads[b], [0.0])
 
@@ -248,13 +248,13 @@ class TestBackwardBasics:
         zt = tensor(z)
         probs = softmax(zt)
         picked = multiply(log(probs), tensor(np.eye(4)[k]))
-        grads = backward(reduce_sum(picked))
+        grads = backward(reduce_sum(picked), wrt=[zt])
         expect = np.eye(4)[k] - np.exp(z) / np.exp(z).sum()
         np.testing.assert_allclose(grads[zt], expect, atol=1e-12)
 
     def test_log_gradient_zero_below_floor(self):
         x = tensor([0.5, 0.0])
-        grads = backward(reduce_sum(log(x)))
+        grads = backward(reduce_sum(log(x)), wrt=[x])
         np.testing.assert_allclose(grads[x], [2.0, 0.0])
 
     def test_unreachable_wrt_leaf_gets_zeros(self):
@@ -265,20 +265,20 @@ class TestBackwardBasics:
 
     def test_backward_does_not_accumulate_across_calls(self):
         x = tensor([1.0, 2.0])
-        backward(reduce_sum(x))
-        grads = backward(reduce_sum(multiply(x, x)))
+        backward(reduce_sum(x), wrt=[x])
+        grads = backward(reduce_sum(multiply(x, x)), wrt=[x])
         np.testing.assert_array_equal(grads[x], [2.0, 4.0])
         assert not hasattr(x, "grad")
 
     def test_gather_gradient_accumulates_repeats(self):
         table = tensor(np.ones((3, 2)))
-        grads = backward(reduce_sum(gather(table, np.array([0, 0, 1]))))
+        grads = backward(reduce_sum(gather(table, np.array([0, 0, 1]))), wrt=[table])
         np.testing.assert_array_equal(grads[table], [[2, 2], [1, 1], [0, 0]])
 
     def test_broadcast_add_sums_adjoint(self):
         bias = tensor(np.zeros(3))
         x = tensor(np.ones((4, 3)))
-        grads = backward(reduce_sum(add(x, bias)))
+        grads = backward(reduce_sum(add(x, bias)), wrt=[bias])
         np.testing.assert_array_equal(grads[bias], [4.0, 4.0, 4.0])
 
     def test_into_sums_in_place_and_zero_fills(self):
@@ -295,10 +295,37 @@ class TestBackwardBasics:
 
     def test_into_needs_one_array_per_wrt_leaf(self):
         x = tensor([1.0])
-        with pytest.raises(ContractError, match="needs `wrt`"):
-            backward(reduce_sum(x), into=[np.zeros(1)])
         with pytest.raises(ContractError, match="2 arrays"):
             backward(reduce_sum(x), wrt=[x], into=[np.zeros(1), np.zeros(1)])
+
+    def test_leaf_listed_twice_is_rejected(self):
+        # two arrays for one leaf: only the first would ever be written
+        x = tensor([1.0, 2.0])
+        into = [np.full(2, np.nan), np.zeros(2)]
+        with pytest.raises(ContractError, match=r"wrt\[1\] repeats the leaf of wrt\[0\]"):
+            backward(reduce_sum(multiply(x, x)), wrt=[x, x], into=into)
+
+    def test_into_array_of_another_shape_is_rejected(self):
+        # a (1,) adjoint would broadcast into a (3,) array without a word
+        x, y = tensor([2.0, 3.0]), tensor([4.0])
+        into = [np.zeros(2), np.zeros(3)]
+        with pytest.raises(ContractError, match=r"into\[1\] has shape \(3,\), its leaf \(1,\)"):
+            backward(reduce_sum(multiply(x, y)), wrt=[x, y], into=into)
+
+    def test_root_leaf_gets_ones(self):
+        x, other = tensor([[2.5]]), tensor([1.0])
+        grads = backward(x, wrt=[x, other])
+        np.testing.assert_array_equal(grads[x], [[1.0]])
+        np.testing.assert_array_equal(grads[other], [0.0])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_returned_arrays_are_fresh_and_writable(self, dtype):
+        # a reduce_sum adjoint is a read-only broadcast view; the map holds a copy
+        x = tensor(np.arange(6.0, dtype=dtype).reshape(2, 3))
+        grads = backward(reduce_sum(x), wrt=[x])
+        assert grads[x].flags.owndata and grads[x].dtype == dtype
+        grads[x] *= 2.0  # raises on a read-only view
+        np.testing.assert_array_equal(grads[x], np.full((2, 3), 2.0))
 
     @pytest.mark.parametrize("name", sorted(RECORDING_OPS))
     def test_no_grad_produces_leaves(self, name):
@@ -386,7 +413,7 @@ class TestFiniteDifferences:
 
     def test_getitem_adjoint_is_zero_off_the_slice(self):
         a = tensor(np.arange(24.0).reshape(2, 3, 4))
-        grads = backward(reduce_sum(getitem(a, (slice(None), 1, slice(None, 2)))))
+        grads = backward(reduce_sum(getitem(a, (slice(None), 1, slice(None, 2)))), wrt=[a])
         expected = np.zeros((2, 3, 4))
         expected[:, 1, :2] = 1.0
         np.testing.assert_array_equal(grads[a], expected)

@@ -799,6 +799,43 @@ class TestTrainLoop:
             np.testing.assert_array_equal(t.values, saved[tag][name])
             assert not np.array_equal(t.values, copy_before[f"{tag}/{name}"])
 
+    def test_nonfinite_gradient_aborts_keeping_checkpoints(self, tmp_path, monkeypatch):
+        # a finite loss whose gradient is not finite aborts like a non-finite
+        # loss: an `abort` record, and an error naming the step, task and array
+        cfg = tiny_config()
+        reg = solo_registry(cfg)
+        flat = reg.task("copy").flat()
+        real_backward = training.backward
+        calls = []
+
+        def poisoned(root, **kw):
+            grads = real_backward(root, **kw)
+            calls.append(1)
+            if len(calls) == 3:
+                grads[flat["E1/bwd_u"]][0, 1] = np.nan
+            return grads
+
+        monkeypatch.setattr(training, "backward", poisoned)
+        run = tmp_path / "run"
+        with pytest.raises(
+            NumericError,
+            match=r"diverged at step 3 on task 'copy' "
+            r"\(non-finite gradient for parameter E1/bwd_u\)",
+        ):
+            train(cfg, quick_conf(checkpoint_every=2), reg, [copy_task()], run)
+        assert (run / "checkpoints" / "step-000002.npz").exists()
+        assert not (run / "LOCK").exists()
+        records = read_metrics(run)
+        assert [r["step"] for r in records if r["kind"] == "train"] == [1, 2]
+        assert records[-1] == {
+            "kind": "abort", "step": 3, "task": "copy",
+            "error": "non-finite gradient for parameter E1/bwd_u",
+        }
+        # the aborted step updated nothing
+        saved = load_checkpoint(run / "checkpoints" / "step-000002.npz").task_arrays("copy")
+        for tag, name, t in reg.task("copy").named():
+            np.testing.assert_array_equal(t.values, saved[tag][name])
+
     def test_step_arrays_are_freed_before_next_step_validation_and_checkpoint(
         self, tmp_path, monkeypatch
     ):
