@@ -9,6 +9,7 @@ is in the file; nothing is pickled.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -64,18 +65,49 @@ def atomic_write(path) -> Iterator[BinaryIO]:
 
 @dataclass
 class Checkpoint:
-    """In-memory view of a loaded snapshot."""
+    """In-memory view of a loaded snapshot.
 
+    `load_checkpoint` reads everything but the Adam moments, which are
+    twice the size of the parameters and which only resuming and `digest`
+    read.  `adam_m` and `adam_v` are read from `path` the first time either
+    is asked for, and kept; a file that was replaced or changed since the
+    load raises `CheckpointError` then.
+    """
+
+    path: Path
     version: int
     step: int
     config: dict
     tasks: tuple[str, ...]
     coverage: tuple[str, ...]  # the tasks that trained with coverage
     params: NestedArrays
-    adam_m: NestedArrays = field(default_factory=dict)
-    adam_v: NestedArrays = field(default_factory=dict)
     adam_t: dict[str, int] = field(default_factory=dict)
     vocabs: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    # The loaded file's identity: (device, inode, size, mtime_ns).
+    stamp: tuple[int, ...] = field(default=(), repr=False)
+
+    @functools.cached_property
+    def _moments(self) -> tuple[NestedArrays, NestedArrays]:
+        return _open(self.path, self._read_moments)
+
+    def _read_moments(self, archive, stamp: tuple[int, ...]) -> tuple[NestedArrays, NestedArrays]:
+        if stamp != self.stamp:
+            raise CheckpointError(f"{self.path} changed since it was loaded; load it again")
+        m: NestedArrays = {}
+        v: NestedArrays = {}
+        for key in archive.files:
+            parts = key.split("/")
+            if parts[0] == "adam" and len(parts) == 5:
+                _nested(m if parts[2] == "m" else v, parts[1], parts[3], parts[4], archive[key])
+        return m, v
+
+    @property
+    def adam_m(self) -> NestedArrays:
+        return self._moments[0]
+
+    @property
+    def adam_v(self) -> NestedArrays:
+        return self._moments[1]
 
     def task_arrays(self, task: str) -> dict[str, dict[str, np.ndarray]]:
         if task not in self.params:
@@ -151,20 +183,30 @@ def _nested(store: NestedArrays, task: str, tag: str, name: str, arr: np.ndarray
 def load_checkpoint(path) -> Checkpoint:
     """Read an archive; any file that is not a readable checkpoint of this
     version (missing, truncated, corrupted or malformed) raises
-    `CheckpointError`."""
+    `CheckpointError`.  The Adam moments are read later, on first use (see
+    `Checkpoint`)."""
     path = Path(path)
+    return _open(path, lambda archive, stamp: _read(path, archive, stamp))
+
+
+def _open(path: Path, read):
+    """`read(archive, stamp)` on the npz archive at `path`, with the file's
+    identity `stamp`; the file is closed after, whatever happens.  A file
+    that cannot be read raises `CheckpointError` naming it."""
     try:
-        archive = np.load(path, allow_pickle=False)
-        if not isinstance(archive, np.lib.npyio.NpzFile):
-            raise CheckpointError(f"{path} holds a single array, not a checkpoint archive")
-        with archive:
-            return _read(path, archive)
+        with open(path, "rb") as fh:
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise CheckpointError(f"{path} holds a single array, not a checkpoint archive")
+            st = os.fstat(fh.fileno())
+            with archive:
+                return read(archive, (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns))
     except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
         # json.JSONDecodeError is a ValueError
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
 
 
-def _read(path: Path, archive) -> Checkpoint:
+def _read(path: Path, archive, stamp: tuple[int, ...]) -> Checkpoint:
     keys = set(archive.files)
     if "version" not in keys:
         raise CheckpointError(f"{path} has no version field; not a checkpoint")
@@ -178,12 +220,14 @@ def _read(path: Path, archive) -> Checkpoint:
         if required not in keys:
             raise CheckpointError(f"{path} is missing the {required!r} field")
     ckpt = Checkpoint(
+        path=path,
         version=version,
         step=int(archive["step"]),
         config=json.loads(str(archive["config"])),
         tasks=tuple(json.loads(str(archive["tasks"]))),
         coverage=tuple(json.loads(str(archive["coverage"]))),
         params={},
+        stamp=stamp,
     )
     for key in keys:
         parts = key.split("/")
@@ -194,10 +238,7 @@ def _read(path: Path, archive) -> Checkpoint:
         elif parts[0] == "adam":
             if len(parts) == 3 and parts[2] == "t":
                 ckpt.adam_t[parts[1]] = int(archive[key])
-            elif len(parts) == 5 and parts[2] in ("m", "v"):
-                store = ckpt.adam_m if parts[2] == "m" else ckpt.adam_v
-                _nested(store, parts[1], parts[3], parts[4], archive[key])
-            else:
+            elif not (len(parts) == 5 and parts[2] in ("m", "v")):
                 raise CheckpointError(f"{path}: malformed optimizer key {key!r}")
         elif parts[0] == "vocab":
             ckpt.vocabs[parts[1]] = tuple(str(t) for t in archive[key])

@@ -13,7 +13,10 @@ Conventions that the rest of the package relies on:
   gradient checks.
 * Graphs are rebuilt from scratch every step.  ``backward`` overwrites the
   arrays it sums into (fresh ones unless the caller passes its own) and
-  stores nothing on the tensors, so nothing accumulates across calls.
+  consumes the graph as it goes: once a node's VJP has run, the node drops
+  its closure and its parents and keeps only its values.  So nothing
+  accumulates across calls, a step holds only the saved arrays of the VJPs
+  still to run, and a second ``backward`` through the same graph raises.
 * Elementwise operations follow numpy broadcasting; the adjoint of a
   broadcast input is summed back down to its original shape.
 * ``minimum`` routes the full adjoint to its first argument on exact ties.
@@ -41,6 +44,11 @@ import numpy as np
 from .errors import ContractError, DimensionError, NumericError
 
 LOG_FLOOR = 1e-12
+# Elements of [B, t, S, a] attention working memory per run of target steps
+# (4 MiB of float64; see `attention`).  Every call at the gate sizes (emb
+# 16, hidden 32, sources and targets up to 16 tokens) is one run: 8 training
+# rows, 32 held-out rows, a 128-row beam step.
+ATTENTION_BLOCK = 1 << 19
 
 # Module-level mode switches.  Training is single-threaded per step, so a
 # plain global (not thread-local) is deliberate.
@@ -702,6 +710,14 @@ def lstm(
     return _record(out, "lstm", (x, w, u, b, h0, c0, *(back or ())), vjp)
 
 
+def _step_blocks(bsz: int, steps: int, src: int, dim: int) -> list[slice]:
+    """Runs of target steps, first to last, whose [B, t, S, a] features
+    fit in `ATTENTION_BLOCK` elements; each run has at least one step, and
+    a call that fits whole is one run."""
+    span = max(1, ATTENTION_BLOCK // max(1, bsz * src * dim))
+    return [slice(t, min(t + span, steps)) for t in range(0, max(steps, 1), span)]
+
+
 def attention(
     enc_feat: Tensor,
     query: Tensor,
@@ -730,8 +746,14 @@ def attention(
     columns hold the coverage each step started from.  Only the coverage
     recurs over T: with it the forward steps through T, and the backward
     carries just the coverage adjoint back through one reverse sweep of
-    [B, S] arrays.  Everything else, the tanh features, the context and
-    every reduction of the backward, runs over all T steps at once.
+    [B, S] arrays.
+
+    The tanh features are [B, T, S, a], the one array of that size the op
+    keeps: with gradients on, the forward builds them for all T steps at
+    once and the VJP reads them.  Everything else of that size runs over
+    runs of target steps of at most `ATTENTION_BLOCK` elements: the VJP's
+    feature adjoints, and, under `no_grad`, the features themselves, which
+    are then not kept.
     """
     fv, qv, sv = enc_feat.values, query.values, states.values
     cwv, vv, pv = cov_w.values, score_v.values, penalty.values
@@ -749,18 +771,20 @@ def attention(
     cols = src + width + (0 if cov0 is None else src)
     out = np.empty((bsz, steps, cols), dtype=np.result_type(fv, qv))
     alpha = out[..., :src]
-    feats = fv[:, None] + qv[:, :, None]  # [B, T, S, a]; tanh is taken in place
-    if cov0 is None:
-        np.tanh(feats, out=feats)
-        x = feats @ vv + pv[:, None]
-        ex = np.exp(x - x.max(axis=-1, keepdims=True))
-        np.divide(ex, ex.sum(axis=-1, keepdims=True), out=alpha)
-    else:
-        started = out[..., src + width :]
-        cov = cov0
-        for t in range(steps):
+    started = None if cov0 is None else out[..., src + width :]
+    cov = cov0
+    blocks = [slice(0, steps)] if _grad_enabled else _step_blocks(bsz, steps, src, dim)
+    for blk in blocks:
+        feats = fv[:, None] + qv[:, blk, None]  # [B, t, S, a]; tanh is taken in place
+        if cov0 is None:
+            np.tanh(feats, out=feats)
+            x = feats @ vv + pv[:, None]
+            ex = np.exp(x - x.max(axis=-1, keepdims=True))
+            np.divide(ex, ex.sum(axis=-1, keepdims=True), out=alpha[:, blk])
+            continue
+        for k, t in enumerate(range(blk.start, blk.stop)):
             started[:, t] = cov
-            f = feats[:, t]
+            f = feats[:, k]
             f += cov[:, :, None] * cwv
             np.tanh(f, out=f)
             x = f @ vv + pv
@@ -773,35 +797,50 @@ def attention(
         g_ctx = g[..., src : src + width]
         d_alpha = g[..., :src] + g_ctx @ sv.transpose(0, 2, 1)
         d_states = alpha.transpose(0, 2, 1) @ g_ctx
-        d_tanh = 1.0 - feats * feats
         if cov0 is None:
             d_scores = (d_alpha - (d_alpha * alpha).sum(axis=-1, keepdims=True)) * alpha
-            d_cov0 = None
         else:
-            # How much a unit of coverage moves each score: the coverage
-            # feature's path through tanh, summed over the attention width.
-            slope = d_tanh @ (vv * cwv)  # [B, T, S]
             g_started = g[..., src + width :]
             d_scores = np.empty_like(d_alpha)
             carry = np.zeros((bsz, src), dtype=g.dtype)  # adjoint of cov_{t+1}
-            for t in range(steps - 1, -1, -1):
-                a = alpha[:, t]
-                da = d_alpha[:, t] + carry
-                ds = (da - (da * a).sum(axis=-1, keepdims=True)) * a
-                d_scores[:, t] = ds
-                carry = carry + g_started[:, t] + ds * slope[:, t]
-            d_cov0 = carry
-        d_feats = d_scores[..., None] * vv
-        d_feats *= d_tanh
+        d_query = np.empty((bsz, steps, dim), dtype=np.result_type(d_scores, vv, feats))
+        d_enc = d_cov_w = None
+        # Last run first, so the coverage sweep goes back through T once.
+        for blk in reversed(_step_blocks(bsz, steps, src, dim)):
+            f = feats[:, blk]
+            d_tanh = f * f
+            np.subtract(1.0, d_tanh, out=d_tanh)
+            if cov0 is not None:
+                # How much a unit of coverage moves each score: the coverage
+                # feature's path through tanh, summed over the attention width.
+                slope = d_tanh @ (vv * cwv)  # [B, t, S]
+                for k in range(blk.stop - blk.start - 1, -1, -1):
+                    t = blk.start + k
+                    a = alpha[:, t]
+                    da = d_alpha[:, t] + carry
+                    ds = (da - (da * a).sum(axis=-1, keepdims=True)) * a
+                    d_scores[:, t] = ds
+                    carry = carry + g_started[:, t] + ds * slope[:, k]
+            d_feats = d_scores[:, blk, :, None] * vv
+            d_feats *= d_tanh
+            del d_tanh
+            if cov0 is not None:
+                d_cov_w = _plus(d_cov_w, d_feats.reshape(-1, dim).T @ started[:, blk].reshape(-1))
+            d_enc = _plus(d_enc, d_feats.sum(axis=1))
+            np.sum(d_feats, axis=2, out=d_query[:, blk])
         d_v = feats.reshape(-1, dim).T @ d_scores.reshape(-1)
-        d_cov_w = None if cov0 is None else d_feats.reshape(-1, dim).T @ started.reshape(-1)
-        d_enc, d_query = d_feats.sum(axis=1), d_feats.sum(axis=2)
+        d_cov0 = None if cov0 is None else carry
         return d_enc, d_query, d_states, d_cov_w, d_v, d_scores.sum(axis=1), d_cov0
 
     parents = (enc_feat, query, states, cov_w, score_v, penalty)
     if coverage is not None:
         parents += (coverage,)
     return _record(out, "attention", parents, vjp)
+
+
+def _plus(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
+    """`part` added to a running sum (`part` itself when there is none yet)."""
+    return part if total is None else total + part
 
 
 # ---------------------------------------------------------------------------
@@ -819,6 +858,11 @@ def _toposort(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in seen:
             continue
+        if node.op is not None and node._vjp is None:
+            raise ContractError(
+                f"backward: this graph's {node.op} node was consumed by an earlier "
+                "backward; build the graph again"
+            )
         seen.add(id(node))
         stack.append((node, True))
         for parent in node.parents:
@@ -841,6 +885,15 @@ def backward(
     fresh arrays of each leaf's shape and dtype.  A `wrt` leaf the graph
     never reaches gets zeros, and a root that is itself a `wrt` leaf gets
     ones.  Leaves not in `wrt` are constants: their adjoints are dropped.
+    Only leaves have adjoints here: a `wrt` entry with an op raises
+    `ContractError`.
+
+    The pass consumes the graph as it goes.  Once a node's VJP has run,
+    the node drops its VJP and its parents, and the pass drops the node,
+    so the arrays that VJP saved are freed before the next VJP runs (if
+    nothing else holds them).  Every node keeps its values.  A second
+    `backward` through a consumed node raises `ContractError`: rebuild the
+    graph to differentiate it again.
     """
     if root.values.size != 1:
         raise ContractError(f"backward: root must be scalar, got shape {root.shape}")
@@ -850,6 +903,8 @@ def backward(
         raise ContractError(f"backward: {len(into)} arrays in `into` for {len(wrt)} leaves")
     slots: dict[int, np.ndarray] = {}
     for i, (leaf, out) in enumerate(zip(wrt, into)):
+        if leaf.op is not None:
+            raise ContractError(f"backward: wrt[{i}] is a {leaf.op} node, not a leaf")
         if id(leaf) in slots:
             j = next(j for j, t in enumerate(wrt) if t is leaf)
             raise ContractError(f"backward: wrt[{i}] repeats the leaf of wrt[{j}]")
@@ -871,14 +926,18 @@ def backward(
 
     order = _toposort(root)
     adjoint: dict[int, np.ndarray] = {id(root): np.ones_like(root.values)}
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         g = adjoint.pop(id(node), None)
+        if node.op is None:  # only a root leaf: other leaves take no entry
+            if g is not None:
+                deposit(node, g)
+            continue
+        parents, vjp = node.parents, node._vjp
+        node.parents, node._vjp = (), None
         if g is None:
             continue
-        if node.op is None:  # only a root leaf: other leaves take no entry
-            deposit(node, g)
-            continue
-        for parent, pg in zip(node.parents, node._vjp(g)):
+        for parent, pg in zip(parents, vjp(g)):
             if pg is None:
                 continue
             if parent.op is None:
@@ -886,6 +945,7 @@ def backward(
                 continue
             have = adjoint.get(id(parent))
             adjoint[id(parent)] = pg if have is None else have + pg
+        pg = None  # a deposited adjoint is not kept through the next VJP
     for leaf, out in zip(wrt, into):
         if id(leaf) not in written:
             out.fill(0)

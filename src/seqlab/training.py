@@ -401,6 +401,30 @@ def _acquire_lock(run_dir: Path) -> Path:
     return lock
 
 
+class _EncodeOnDraw(Sequence[EncodedExample]):
+    """A task's training examples, each encoded the first time it is
+    drawn, and kept: a short run draws only some of them.  An example
+    with an empty source or target is refused here, before any step."""
+
+    def __init__(self, examples: Sequence[Example], vocab: Vocab):
+        for i, ex in enumerate(examples):
+            if not (ex.source and ex.target):
+                side = "source" if not ex.source else "target"
+                raise ContractError(f"training example {i} has an empty {side}")
+        self._examples = examples
+        self._vocab = vocab
+        self._encoded: list[EncodedExample | None] = [None] * len(examples)
+
+    def __len__(self) -> int:
+        return len(self._examples)
+
+    def __getitem__(self, i) -> EncodedExample:
+        enc = self._encoded[i]
+        if enc is None:
+            enc = self._encoded[i] = encode_example(self._examples[i], self._vocab)
+        return enc
+
+
 def _train_step(
     registry: ParamRegistry,
     task: str,
@@ -416,11 +440,12 @@ def _train_step(
     `grad` is the gradient arena, laid out by `registry.layout`; it lives
     across steps and is overwritten by each.  `backward` writes the model
     loss's gradient into it, the soft penalty adds its own, and clipping
-    and Adam run over it.  The tape and the VJP outputs are locals here,
-    freed when the step returns, before the next step, a validation pass or
-    a checkpoint write.  The soft penalty runs after `backward`, once the
-    tape is gone; it reads only the parameters, which `backward` does not
-    change.  A record whose `total` is not finite holds nothing else, and
+    and Adam run over it.  `backward` frees the tape node by node as it
+    runs; only the loss values read after it stay.  The VJP outputs are
+    locals here, freed when the step returns, before the next step, a
+    validation pass or a checkpoint write.  The soft penalty runs after
+    `backward`, once the tape is gone; it reads only the parameters, which
+    `backward` does not change.  A record whose `total` is not finite holds nothing else, and
     its step updated nothing: a non-finite model loss stops before
     `backward`.
     """
@@ -476,7 +501,9 @@ def train(
     the soft penalty is computed after `backward`.  One gradient arena,
     laid out by `registry.layout`, serves every task's steps and lives for
     the whole run.  Validation passes run in batches of `HELD_OUT_BATCH`
-    rows, whatever `tconf.batch_size` is.
+    rows, whatever `tconf.batch_size` is.  Held-out examples are encoded
+    before the first step, training examples when a batch first draws
+    them.
 
     Each `warm_start` record names the checkpoint's file, its step and
     `Checkpoint.digest`, not its path, so the log does not depend on where
@@ -516,10 +543,7 @@ def train(
         with atomic_write(run_dir / CONFIG_NAME) as fh:
             fh.write((json.dumps(echo, indent=2) + "\n").encode())
 
-        enc_train = {
-            n: [encode_example(ex, by_name[n].vocab) for ex in by_name[n].corpora.train]
-            for n in names
-        }
+        enc_train = {n: _EncodeOnDraw(by_name[n].corpora.train, by_name[n].vocab) for n in names}
         enc_val = {
             n: [encode_example(ex, by_name[n].vocab) for ex in by_name[n].corpora.val]
             for n in names

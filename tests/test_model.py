@@ -9,6 +9,7 @@ import pytest
 
 from conftest import TINY_SPEC, tiny_batch, tiny_config, tiny_examples
 from seqlab import model as model_module
+from seqlab import tensor as tensor_module
 from seqlab.data import UNK_ID, encode_example, make_batch, Example
 from seqlab.errors import ContractError
 from seqlab.model import (
@@ -37,6 +38,7 @@ from seqlab.tensor import (
     matmul,
     minimum,
     multiply,
+    no_grad,
     reduce_sum,
     reshape,
     scale,
@@ -408,6 +410,27 @@ class TestAttentionOp:
         for k in arrays:
             got, want = grads[0][k], grads[1][k]
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), k
+
+    @pytest.mark.parametrize("run", [1, 3])
+    def test_runs_of_steps_match_one_run(self, steps, lengths, start, run, monkeypatch):
+        # A budget of `run` steps' features splits the VJP, and the no_grad
+        # forward, into runs of target steps: the values do not move, and
+        # the gradients only by rounding.
+        arrays = attention_inputs(steps, lengths, start)
+        results = []
+        for budget in (tensor_module.ATTENTION_BLOCK, run * 3 * 5 * 4):
+            monkeypatch.setattr(tensor_module, "ATTENTION_BLOCK", budget)
+            leaves = {k: tensor(v) for k, v in arrays.items()}
+            with no_grad():
+                silent = attention(**leaves).values
+            root = self.weighted_loss(attention)(leaves)
+            out = root.parents[0].parents[0].values
+            got = backward(root, wrt=leaves.values())
+            results.append((out, silent, {k: got[t] for k, t in leaves.items()}))
+        (whole, whole_silent, want), (split, split_silent, grads) = results
+        assert whole.tobytes() == split.tobytes() == whole_silent.tobytes() == split_silent.tobytes()
+        for k in arrays:
+            assert np.abs(grads[k] - want[k]).max() <= 1e-14 * np.abs(want[k]).max(), k
 
     def test_gradient_check(self, steps, lengths, start):
         # The smallest entries (about 1e-5 of enc_feat) carry central

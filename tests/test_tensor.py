@@ -3,6 +3,8 @@
 import inspect
 import math
 import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -285,10 +287,13 @@ class TestBackwardBasics:
         x = tensor([1.5, -2.0])
         unused = tensor(np.zeros(2))
         const = tensor([3.0, 4.0])
-        root = reduce_sum(add(multiply(x, const), multiply(x, x)))
-        want = backward(root, wrt=[x, unused])
+
+        def root():  # each backward consumes its graph, so each gets its own
+            return reduce_sum(add(multiply(x, const), multiply(x, x)))
+
+        want = backward(root(), wrt=[x, unused])
         into = [np.full(2, np.nan), np.full(2, np.nan)]
-        got = backward(root, wrt=[x, unused], into=into)
+        got = backward(root(), wrt=[x, unused], into=into)
         assert list(got) == [x, unused] and got[x] is into[0] and got[unused] is into[1]
         np.testing.assert_array_equal(into[0], want[x])
         np.testing.assert_array_equal(into[1], [0.0, 0.0])
@@ -327,6 +332,43 @@ class TestBackwardBasics:
         grads[x] *= 2.0  # raises on a read-only view
         np.testing.assert_array_equal(grads[x], np.full((2, 3), 2.0))
 
+    def test_interior_wrt_entry_is_rejected(self):
+        # its adjoint lives in the tape's own map: it would read as zeros
+        x = tensor([1.0, 2.0])
+        y = multiply(x, x)
+        with pytest.raises(ContractError, match=r"wrt\[0\] is a multiply node, not a leaf"):
+            backward(reduce_sum(y), wrt=[y, x])
+
+    def test_second_backward_through_a_consumed_graph_raises(self):
+        x = tensor([1.0, 2.0])
+        y = multiply(x, x)
+        first = reduce_sum(y)
+        backward(first, wrt=[x])
+        assert first.parents == () and y.parents == ()
+        np.testing.assert_array_equal(y.values, [1.0, 4.0])  # values stay readable
+        assert first.item() == 5.0
+        for root in (first, reduce_sum(y)):
+            with pytest.raises(ContractError, match="consumed by an earlier backward"):
+                backward(root, wrt=[x])
+
+    def test_each_vjp_runs_after_the_nodes_above_it_are_freed(self):
+        # the arrays a consumed node holds, saved for its VJP, are gone
+        # before the VJP below it runs, though the caller holds the root
+        x = tensor(np.linspace(-1.0, 1.0, 5))
+        seen = []
+
+        def probe_vjp(g):
+            seen.append(saved())
+            return (g,)
+
+        probe = Tensor(x.values * 1.0, op="probe", parents=(x,), vjp=probe_vjp)
+        top = tanh(probe)  # tanh's VJP reads its own output
+        saved = weakref.ref(top.values)
+        root = reduce_sum(top)
+        del top
+        backward(root, wrt=[x])
+        assert seen == [None]
+
     @pytest.mark.parametrize("name", sorted(RECORDING_OPS))
     def test_no_grad_produces_leaves(self, name):
         inputs, op = RECORDING_OPS[name](random_leaves())
@@ -340,6 +382,57 @@ class TestBackwardBasics:
         assert silent.values.dtype == recorded.values.dtype
         assert silent.values.shape == recorded.values.shape
         assert silent.values.tobytes() == recorded.values.tobytes()
+
+
+class TestAttentionMemory:
+    """Peak memory of `attention` at a summarisation-length shape (B 4, T
+    100, S 400, a 64), where one [B, T, S, a] float64 array is 82 MB.
+    tracemalloc counts numpy's allocations exactly, so the bounds are
+    deterministic; the inputs exist before counting starts."""
+
+    BSZ, STEPS, SRC, DIM = 4, 100, 400, 64
+    VOLUME = BSZ * STEPS * SRC * DIM * 8  # bytes of one [B, T, S, a] array
+
+    def leaves(self, coverage):
+        rng = np.random.default_rng(0)
+        b, t, s, a = self.BSZ, self.STEPS, self.SRC, self.DIM
+        arrays = [
+            rng.normal(size=(b, s, a)) * 0.1, rng.normal(size=(b, t, a)) * 0.1,
+            rng.normal(size=(b, s, 2 * a)), rng.normal(size=a), rng.normal(size=a),
+            np.zeros((b, s)),
+        ]
+        return [tensor(x) for x in arrays] + ([tensor(np.zeros((b, s)))] if coverage else [])
+
+    @staticmethod
+    def peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("coverage", [False, True], ids=["plain", "coverage"])
+    def test_forward_and_backward_keep_one_feature_array(self, coverage):
+        leaves = self.leaves(coverage)
+        wrt = [t for i, t in enumerate(leaves) if i != 5]  # all but the penalty
+
+        def run():
+            backward(reduce_sum(attention(*leaves)), wrt=wrt)
+
+        assert self.peak(run) < 1.5 * self.VOLUME
+
+    @pytest.mark.parametrize("coverage", [False, True], ids=["plain", "coverage"])
+    def test_no_grad_forward_works_in_runs_of_steps(self, coverage):
+        leaves = self.leaves(coverage)
+        cols = 2 * self.SRC + 2 * self.DIM if coverage else self.SRC + 2 * self.DIM
+        out_bytes = self.BSZ * self.STEPS * cols * 8
+
+        def run():
+            with no_grad():
+                attention(*leaves)
+
+        assert self.peak(run) < out_bytes + 3 * tensor_module.ATTENTION_BLOCK * 8
 
 
 class TestFiniteDifferences:

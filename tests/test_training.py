@@ -1,6 +1,7 @@
 """Optimizer, scheduler, checkpointing, and the run loop."""
 
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import socket
 import stat
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from seqlab.checkpoint import (
     save_checkpoint,
 )
 import seqlab.checkpoint as checkpoint
-from seqlab.data import SynthSpec, batch_iterator, encode_example, make_task_corpora, task_seed
+from seqlab.data import Example, SynthSpec, batch_iterator, encode_example, make_task_corpora, task_seed
 from seqlab.errors import CheckpointError, ContractError, NumericError
 from seqlab.model import TAGS, ModelConfig, forward_loss
 from seqlab.sharing import (
@@ -567,6 +569,44 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="cannot read"):
             load_checkpoint(path)
 
+    def test_truncated_archive_leaves_no_file_open(self, tmp_path):
+        *_, path = small_setup(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(CheckpointError, match="cannot read"):
+                load_checkpoint(path)
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_moments_are_read_on_first_use(self, tmp_path, monkeypatch):
+        _, _, state, _, path = small_setup(tmp_path)
+        read = []
+        real_getitem = np.lib.npyio.NpzFile.__getitem__
+
+        def getitem(archive, key):
+            read.append(key)
+            return real_getitem(archive, key)
+
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", getitem)
+        ckpt = load_checkpoint(path)
+        assert ckpt.adam_t == {"a": 3}
+        assert [k for k in read if k.startswith("adam/") and not k.endswith("/t")] == []
+        np.testing.assert_array_equal(ckpt.adam_m["a"]["Emb"]["table"], state.m["Emb/table"])
+        np.testing.assert_array_equal(ckpt.adam_v["a"]["Emb"]["table"], state.v["Emb/table"])
+        assert "adam/a/m/Emb/table" in read and "adam/a/v/Emb/table" in read
+
+    def test_moments_of_a_changed_file_are_refused(self, tmp_path):
+        _, params, state, _, path = small_setup(tmp_path)
+        ckpt = load_checkpoint(path)
+        save_checkpoint(
+            path, step=43, tasks={"a": params}, config={}, coverage=[], optimizer={"a": state}
+        )
+        with pytest.raises(CheckpointError, match="changed since it was loaded"):
+            ckpt.digest()
+        assert ckpt.step == 42 and ckpt.params["a"]  # what was loaded stays
+
     def test_unreadable_config_echo(self, tmp_path):
         path = tmp_path / "bad-config.npz"
         np.savez(
@@ -884,6 +924,39 @@ class TestTrainLoop:
         assert len(step_arrays) == 6
         # 6 steps; 3 validations of 2 tasks each; checkpoints at steps 3 and 6
         assert checked == {"forward_loss": 6, "validation_loss": 6, "save_checkpoint": 2}
+
+    def test_training_examples_are_encoded_when_first_drawn(self, tmp_path, monkeypatch):
+        # held-out examples are encoded up front; a training example the
+        # first time a batch draws it, once
+        encoded = []
+        real_encode = training.encode_example
+
+        def encode(ex, vocab):
+            encoded.append(ex)
+            return real_encode(ex, vocab)
+
+        monkeypatch.setattr(training, "encode_example", encode)
+        cfg = tiny_config()
+        task = copy_task()
+        conf = quick_conf(max_steps=4, val_every=4, checkpoint_every=4)
+        train(cfg, conf, solo_registry(cfg), [task], tmp_path / "run")
+        val = len(task.corpora.val)
+        assert encoded[:val] == list(task.corpora.val)
+        drawn = {id(ex) for ex in encoded[val:]}
+        # 4 steps of 8 rows draw 32 of the 48 training examples, each once
+        assert len(drawn) == len(encoded) - val == 32
+        assert drawn <= {id(ex) for ex in task.corpora.train}
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_empty_training_example_is_refused_before_the_first_step(self, tmp_path, side):
+        cfg = tiny_config()
+        task = copy_task()
+        empty = Example(("w01",), ()) if side == "target" else Example((), ("w01",))
+        corpora = dataclasses.replace(task.corpora, train=task.corpora.train + (empty,))
+        with pytest.raises(ContractError, match=f"empty {side}"):
+            train(cfg, quick_conf(), solo_registry(cfg), [dataclasses.replace(task, corpora=corpora)],
+                  tmp_path / "run")
+        assert not (tmp_path / "run" / "metrics.jsonl").exists()
 
     def test_patience_stop(self, tmp_path, monkeypatch):
         monkeypatch.setattr(training, "validation_loss", lambda *a, **k: (1.0, 1.0))
