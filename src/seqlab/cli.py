@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -44,19 +45,10 @@ from .errors import (
     NumericError,
 )
 from .metrics import EvalItem, evaluate_corpus
-from .model import ModelConfig, forward_loss
+from .model import ModelConfig
 from .sharing import ParamRegistry, SharingPlan
-from .tensor import (
-    Tensor,
-    add,
-    gradient_check,
-    multiply,
-    reduce_sum,
-    scale,
-    subtract,
-    tensor,
-)
-from .training import TrainTask, train, warm_start
+from .tensor import Tensor
+from .training import TrainTask, step_gradient_check, train, warm_start
 
 __all__ = ["main", "EXIT_OK", "EXIT_CONFIG", "EXIT_CHECKPOINT", "EXIT_NUMERIC"]
 
@@ -301,26 +293,22 @@ def cmd_eval(args) -> int:
 # gradcheck
 
 
-GRADCHECK_GAMMA = 1e-3
-GRADCHECK_INIT = 0.5
-GRADCHECK_SOFT_TAGS = ("E2", "Attn", "D1")
-
-
 def _gradcheck_setup(seed: int, dtype: str):
-    """A tiny full-loss problem: pointer + coverage + soft sharing penalty.
+    """The gradient check of a tiny full-loss problem, to call with `step`
+    and `tolerance`: pointer, coverage and the soft sharing penalty.
 
-    Two tasks share E2/Attn/D1 softly; the checked task's loss includes the
-    squared-distance pull toward the frozen counterpart, so penalty
-    gradients are exercised alongside everything else.
+    Two tasks share E2/Attn/D1 softly; the check runs the checked task's
+    training loss, `loss_and_gradient`, so the penalty it checks is the one
+    training adds.
     """
     mcfg = ModelConfig(
         vocab_size=20, emb_dim=8, hidden=8, use_pointer=True, use_coverage=True,
         dtype=dtype,
     )
-    plan = SharingPlan.preset("final", gamma=GRADCHECK_GAMMA)
-    registry = ParamRegistry(mcfg, plan, seed=seed, init_range=GRADCHECK_INIT)
-    checked = registry.add_task("a")
-    other = registry.add_task("b")
+    plan = SharingPlan.preset("final", gamma=1e-3)
+    registry = ParamRegistry(mcfg, plan, seed=seed, init_range=0.5)
+    registry.add_task("a")
+    registry.add_task("b")
 
     rng = np.random.default_rng(seed)
     dt = mcfg.np_dtype
@@ -342,30 +330,7 @@ def _gradcheck_setup(seed: int, dtype: str):
         dec_in=tgt_in, dec_out=tgt_out, dec_mask=dec_mask,
         max_oov=1,
     )
-
-    flat = checked.flat()
-    arrays = {k: t.values for k, t in flat.items()}
-    frozen = {
-        f"{tag}/{name}": other.groups[tag][name].values.copy()
-        for tag in GRADCHECK_SOFT_TAGS
-        for name in other.groups[tag]
-    }
-
-    def build_loss(leaves):
-        params = {}
-        for key, leaf in leaves.items():
-            tag, name = key.split("/", 1)
-            params.setdefault(tag, {})[name] = leaf
-        total = forward_loss(params, mcfg, batch, cov_weight=1.0).total
-        penalty = None
-        for key, counterpart in frozen.items():
-            tag, name = key.split("/", 1)
-            diff = subtract(leaves[key], tensor(counterpart.astype(leaves[key].dtype)))
-            term = reduce_sum(multiply(diff, diff))
-            penalty = term if penalty is None else add(penalty, term)
-        return add(total, scale(penalty, GRADCHECK_GAMMA))
-
-    return build_loss, arrays
+    return functools.partial(step_gradient_check, registry, "a", mcfg, batch, cov_weight=1.0)
 
 
 def cmd_gradcheck(args) -> int:
@@ -378,11 +343,8 @@ def cmd_gradcheck(args) -> int:
     elif args.tolerance is None:
         tolerance = 1e-4
 
-    build_loss, arrays = _gradcheck_setup(args.seed, args.dtype)
-    np_dtype = np.float64 if args.dtype == "float64" else np.float32
-    report = gradient_check(
-        build_loss, arrays, step=args.step, tolerance=tolerance, dtype=np_dtype
-    )
+    check = _gradcheck_setup(args.seed, args.dtype)
+    report = check(step=args.step, tolerance=tolerance)
     print(f"seed {args.seed}  step {args.step:g}  dtype {args.dtype}")
     print(report.summary())
     return EXIT_OK if report.passed else EXIT_NUMERIC
@@ -429,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=3e-4, help="finite-difference step")
     p.add_argument(
         "--dtype", choices=("float64", "float32"), default="float64",
-        help="graph precision (float32 relaxes the tolerance)",
+        help="precision of the checked loss and gradient; probes run in float64 (float32 relaxes the tolerance)",
     )
     p.add_argument(
         "--tolerance", type=float, default=None,

@@ -996,36 +996,57 @@ def gradient_check(
     params: Mapping[str, np.ndarray],
     step: float = 1e-5,
     tolerance: float = 1e-4,
-    dtype=np.float64,
 ) -> GradCheckReport:
-    """Compare backward() against central finite differences.
+    """Compare backward() on a graph against central finite differences.
 
-    `build_loss` receives a dict of leaf tensors (one per entry of `params`,
-    same keys) and must return a scalar loss tensor built from them.  The
-    builder is re-run for every probe, so it must be deterministic.
+    `build_loss` receives a dict of float64 leaf tensors (one per entry of
+    `params`, same keys) and must return a scalar loss tensor built from
+    them.  The builder is re-run for every probe, so it must be
+    deterministic.
+    """
+    leaves = {k: Tensor(np.array(v, dtype=np.float64)) for k, v in params.items()}
+    grads = {k: np.empty(t.shape) for k, t in leaves.items()}
 
-    `dtype` sets the precision of the forward/backward pass under test; the
-    finite-difference probes always run in float64, because a float32 loss
-    value cannot resolve the small differences central differences need.
-    A float32 backward pass therefore measures what reduced precision costs
-    relative to the float64 oracle — expect roughly 1e-3 relative error
-    instead of 1e-6, and relax the tolerance accordingly.
+    def fill() -> float:
+        root = build_loss(leaves)
+        if np.isfinite(root.values).all():
+            backward(root, wrt=leaves.values(), into=grads.values())
+        return float(root.values)
+
+    def loss_at() -> float:
+        with no_grad():
+            return float(build_loss(leaves).values)
+
+    probes = {k: t.values for k, t in leaves.items()}
+    return central_differences(fill, grads, leaves, loss_at, probes, step, tolerance)
+
+
+def central_differences(
+    fill: Callable[[], float],
+    grads: Mapping[str, np.ndarray],
+    leaves: Mapping[str, Tensor],
+    loss_at: Callable[[], float],
+    probes: Mapping[str, np.ndarray],
+    step: float,
+    tolerance: float,
+) -> GradCheckReport:
+    """The finite-difference loop of every gradient check.
+
+    `fill()` returns the loss at the base point, reading the tensors
+    `leaves`, and writes its gradient into `grads`.  `loss_at()` returns
+    the loss, without a graph, at the point the float64 arrays `probes`
+    hold; each of their coordinates is moved by +-`step` and restored.
 
     Exact ties inside `minimum` make the loss locally non-differentiable;
-    tied coordinates that belong to checked parameters are excluded from the
+    tied coordinates that belong to checked leaves are excluded from the
     comparison and reported, ties elsewhere are reported only.
     """
     if not (0.0 < step <= 1e-2):
         raise ContractError(f"gradient_check: step must be in (0, 1e-2], got {step}")
-    arrays = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
-
-    leaves = {k: Tensor(v.astype(dtype)) for k, v in arrays.items()}
     with record_ties() as tie_events:
-        root = build_loss(leaves)
-    if not np.isfinite(root.values).all():
+        base = fill()
+    if not math.isfinite(base):
         raise NumericError("gradient_check: loss is not finite at the base point")
-    grads = backward(root, wrt=leaves.values())
-    analytic = {k: grads[t] for k, t in leaves.items()}
 
     by_id = {id(t): k for k, t in leaves.items()}
     ties: list[str] = []
@@ -1039,18 +1060,13 @@ def gradient_check(
                 excluded.setdefault(name, set()).update(np.flatnonzero(ev.mask).tolist())
         ties.append(f"minimum tie between {sides[0]} and {sides[1]} at {int(ev.mask.sum())} coords")
 
-    def loss_at() -> float:
-        with no_grad():
-            probe = {k: Tensor(v) for k, v in arrays.items()}
-            return float(build_loss(probe).values)
-
     per_group: dict[str, float] = {}
     worst: tuple[str, int] | None = None
     worst_err = 0.0
-    for name, arr in arrays.items():
+    for name, arr in probes.items():
         skip = excluded.get(name, set())
         group_max = 0.0
-        flat = arr.ravel()
+        flat = arr.reshape(-1)  # a view: the probes move in place
         for i in range(flat.size):
             if i in skip:
                 continue
@@ -1065,7 +1081,7 @@ def gradient_check(
                     f"gradient_check: loss not finite when perturbing {name}[{i}]"
                 )
             numeric = (f_plus - f_minus) / (2.0 * step)
-            err = _rel_error(float(analytic[name].ravel()[i]), numeric)
+            err = _rel_error(float(grads[name].flat[i]), numeric)
             if err > group_max:
                 group_max = err
             if err > worst_err:

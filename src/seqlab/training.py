@@ -32,9 +32,9 @@ from .data import (
     task_seed,
 )
 from .errors import ContractError, NumericError
-from .model import ModelConfig, forward_loss
+from .model import TAGS, ModelConfig, forward_loss
 from .sharing import Layout, ParamRegistry, TaskParams, tiles
-from .tensor import backward, no_grad
+from .tensor import GradCheckReport, backward, central_differences, no_grad
 
 __all__ = [
     "TrainConfig",
@@ -49,6 +49,8 @@ __all__ = [
     "token_accuracy",
     "in_vocab_fraction",
     "HELD_OUT_BATCH",
+    "loss_and_gradient",
+    "step_gradient_check",
     "train",
     "warm_start",
     "read_metrics",
@@ -425,32 +427,25 @@ class _EncodeOnDraw(Sequence[EncodedExample]):
         return enc
 
 
-def _train_step(
+def loss_and_gradient(
     registry: ParamRegistry,
     task: str,
     cfg: ModelConfig,
     batch: Batch,
-    adam: AdamState,
-    lr: float,
-    tconf: TrainConfig,
     grad: np.ndarray,
+    cov_weight: float,
 ) -> dict[str, float]:
-    """One optimizer step of `task` on `batch`: the fields of its log record.
+    """The training loss of `task` on `batch` (the nll, l_cov, soft_penalty
+    and total of a log record) and, in the arena `grad` laid out by
+    `registry.layout`, its gradient before clipping.
 
-    `grad` is the gradient arena, laid out by `registry.layout`; it lives
-    across steps and is overwritten by each.  `backward` writes the model
-    loss's gradient into it, the soft penalty adds its own, and clipping
-    and Adam run over it.  `backward` frees the tape node by node as it
-    runs; only the loss values read after it stay.  The VJP outputs are
-    locals here, freed when the step returns, before the next step, a
-    validation pass or a checkpoint write.  The soft penalty runs after
-    `backward`, once the tape is gone; it reads only the parameters, which
-    `backward` does not change.  A record whose `total` is not finite holds nothing else, and
-    its step updated nothing: a non-finite model loss stops before
-    `backward`.
+    `backward` writes the model loss's gradient, freeing the tape as it
+    runs; the soft penalty then adds its own.  A non-finite model loss
+    returns only its `total`, before `backward`.  Training and every
+    full-loss gradient check (`step_gradient_check`) run this function.
     """
     params = registry.task(task)
-    parts = forward_loss(params, cfg, batch, cov_weight=tconf.cov_weight)
+    parts = forward_loss(params, cfg, batch, cov_weight=cov_weight)
     model_total = float(parts.total.values)
     if not math.isfinite(model_total):
         return {"total": model_total}
@@ -458,20 +453,45 @@ def _train_step(
     nll = float(parts.nll.values)
     l_cov = float(parts.coverage.values) if parts.coverage is not None else 0.0
     del parts
+    penalty = registry.soft_penalty(task, grad)
+    return {"nll": nll, "l_cov": l_cov, "soft_penalty": penalty, "total": model_total + penalty}
 
-    penalty_value = registry.soft_penalty(task, grad)
-    total = model_total + penalty_value
-    if not math.isfinite(total):
-        return {"total": total}
-    grad_norm = clip_gradients(grad, tconf.clip_norm, registry.layout)
-    adam_step(params, grad, adam, lr)
-    return {
-        "grad_norm": grad_norm,
-        "nll": nll,
-        "l_cov": l_cov,
-        "soft_penalty": penalty_value,
-        "total": total,
-    }
+
+def step_gradient_check(
+    registry: ParamRegistry,
+    task: str,
+    cfg: ModelConfig,
+    batch: Batch,
+    cov_weight: float,
+    step: float,
+    tolerance: float,
+    tags: Sequence[str] = TAGS,
+) -> GradCheckReport:
+    """`central_differences` of the total `loss_and_gradient` returns for
+    `task`, against the arena it fills, over the task's arrays of `tags`.
+    The probes move the task's own arrays in place and restore them.  They
+    run in float64: a float32 `cfg` is probed on a float64 copy of
+    `registry`, which measures what float32 costs against that oracle.
+    """
+    grad = np.empty(registry.layout.size, dtype=cfg.np_dtype)
+    cfg64, probe = replace(cfg, dtype="float64"), registry
+    if cfg.np_dtype != np.float64:
+        probe = ParamRegistry(replace(registry.cfg, dtype="float64"), registry.plan)
+        for name, params in registry.tasks.items():
+            for dst, src in zip(probe.add_task(name).buffers, params.buffers):
+                dst[...] = src
+    scratch = np.empty(probe.layout.size)
+
+    def fill() -> float:
+        return loss_and_gradient(registry, task, cfg, batch, grad, cov_weight)["total"]
+
+    def loss_at() -> float:
+        with no_grad():
+            return loss_and_gradient(probe, task, cfg64, batch, scratch, cov_weight)["total"]
+
+    probes = {f"{tag}/{name}": t.values for tag, name, t in probe.task(task).named() if tag in tags}
+    views = registry.layout.views(grad)
+    return central_differences(fill, views, registry.task(task).flat(), loss_at, probes, step, tolerance)
 
 
 def train(
@@ -496,14 +516,13 @@ def train(
     phased run the checkpoint of the switch step records none, because that
     step still trained without coverage.
 
-    Each step runs in `_train_step`, so its tape and VJP outputs are
-    released before the next step, a validation pass or a checkpoint write;
-    the soft penalty is computed after `backward`.  One gradient arena,
-    laid out by `registry.layout`, serves every task's steps and lives for
-    the whole run.  Validation passes run in batches of `HELD_OUT_BATCH`
-    rows, whatever `tconf.batch_size` is.  Held-out examples are encoded
-    before the first step, training examples when a batch first draws
-    them.
+    Each step's loss and gradient come from `loss_and_gradient`, so its
+    tape and VJP outputs are released before clipping, Adam, a validation
+    pass or a checkpoint write.  One gradient arena, laid out by
+    `registry.layout`, serves every task's steps and lives for the whole
+    run.  Validation passes run in batches of `HELD_OUT_BATCH` rows,
+    whatever `tconf.batch_size` is.  Held-out examples are encoded before
+    the first step, training examples when a batch first draws them.
 
     Each `warm_start` record names the checkpoint's file, its step and
     `Checkpoint.digest`, not its path, so the log does not depend on where
@@ -615,16 +634,17 @@ def train(
                 task = next(schedule)
                 # The tasks this step trains with coverage; checkpoints record them.
                 covered = [n for n in names if task_cfg[n].use_coverage]
-                try:
-                    record = _train_step(
-                        registry, task, task_cfg[task], next(iters[task]), adam[task], lr, tconf,
-                        grad,
-                    )
-                except NumericError as exc:  # a non-finite gradient under a finite loss
-                    raise diverged(str(exc), error=str(exc)) from exc
+                record = loss_and_gradient(
+                    registry, task, task_cfg[task], next(iters[task]), grad, tconf.cov_weight
+                )
                 if not math.isfinite(record["total"]):
                     raise diverged(f"loss {record['total']}", total=record["total"])
-                _log(log, kind="train", step=step, task=task, lr=lr, **record)
+                try:
+                    grad_norm = clip_gradients(grad, tconf.clip_norm, registry.layout)
+                except NumericError as exc:  # a non-finite gradient under a finite loss
+                    raise diverged(str(exc), error=str(exc)) from exc
+                adam_step(params[task], grad, adam[task], lr)
+                _log(log, kind="train", step=step, task=task, lr=lr, grad_norm=grad_norm, **record)
 
                 if step % tconf.val_every == 0:
                     primary_loss = None

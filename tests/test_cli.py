@@ -1,5 +1,6 @@
 """Command-line driver: subcommands, exit codes, and artifact round-trips."""
 
+import functools
 import json
 import os
 import shutil
@@ -28,7 +29,7 @@ from seqlab.data import (
 from seqlab.decoding import ROW_BUDGET, beam_search, greedy_decode
 from seqlab.model import ModelConfig
 from seqlab.sharing import ParamRegistry, SharingPlan
-from seqlab.tensor import Tensor, multiply, reduce_sum
+from seqlab.tensor import Tensor, gradient_check, multiply, reduce_sum
 from seqlab.training import TrainConfig, TrainTask, train
 
 if sys.version_info >= (3, 11):
@@ -703,20 +704,36 @@ class TestEvalCommand:
 
 
 def quadratic_setup(seed: int, dtype: str):
+    """A stub checker in place of the tiny full-loss problem's."""
     rng = np.random.default_rng(seed)
     arrays = {"w": rng.normal(size=4)}
 
     def build_loss(leaves):
         return reduce_sum(multiply(leaves["w"], leaves["w"]))
 
-    return build_loss, arrays
+    return functools.partial(gradient_check, build_loss, arrays)
 
 
 class TestGradcheckCommand:
-    def test_default_tiny_config_passes(self, capsys):
+    def test_defaults_reach_the_checker(self, monkeypatch, capsys):
+        """No flags check seed 0 in float64 at step 3e-4 and tolerance 1e-4.
+        That check of the real problem is gate 1,
+        `test_criterion_1_gradient_fidelity`, which calls `_gradcheck_setup`
+        as the command does."""
+        calls = []
+
+        def recording_setup(seed, dtype):
+            def check(step, tolerance):
+                calls.append((seed, dtype, step, tolerance))
+                return quadratic_setup(seed, dtype)(step=step, tolerance=tolerance)
+
+            return check
+
+        monkeypatch.setattr(cli, "_gradcheck_setup", recording_setup)
         rc = main(["gradcheck"])
         out = capsys.readouterr().out
         assert rc == EXIT_OK
+        assert calls == [(0, "float64", 3e-4, 1e-4)]
         assert "PASS" in out
         assert "seed 0" in out
 

@@ -25,7 +25,7 @@ from seqlab.model import (
     step_nll,
     vocab_distribution,
 )
-from seqlab.sharing import single_task_params
+from seqlab.sharing import ParamRegistry, SharingPlan, single_task_params
 from seqlab.tensor import (
     Tensor,
     add,
@@ -47,6 +47,7 @@ from seqlab.tensor import (
     tanh,
     tensor,
 )
+from seqlab.training import step_gradient_check
 
 
 class TestConfigAndShapes:
@@ -623,37 +624,51 @@ class TestModelGradients:
     # the pointer), where that noise (~1e-11 on a loss near 3) alone
     # exceeds 5e-5 relative under the checker's 1e-8 floor, or sits at
     # 4.96e-5 (E1/bwd_u without coverage); those cases probe with 1e-3.
+    # The soft cases (gamma 0.1) probe with 1e-3 too: at 1e-4 E1/bwd_w
+    # reads 5.2e-5 under the squared form.
     @pytest.mark.parametrize(
-        "use_pointer,use_coverage,step",
-        [(True, True, 1e-4), (True, False, 1e-3), (False, True, 1e-3), (False, False, 1e-3)],
+        "use_pointer,use_coverage,form,step",
+        [
+            (True, True, None, 1e-4),
+            (True, False, None, 1e-3),
+            (False, True, None, 1e-3),
+            (False, False, None, 1e-3),
+            (True, True, "squared", 1e-3),
+            (True, True, "l2", 1e-3),
+        ],
         ids=[
-            "pointer-coverage", "pointer-nocoverage", "nopointer-coverage", "nopointer-nocoverage"
+            "pointer-coverage", "pointer-nocoverage", "nopointer-coverage", "nopointer-nocoverage",
+            "soft-squared", "soft-l2",
         ],
     )
-    def test_full_loss_gradient_check_small(self, use_pointer, use_coverage, step):
-        """Every parameter of a small model against central differences."""
+    def test_full_loss_gradient_check_small(self, use_pointer, use_coverage, form, step):
+        """Every parameter of a small model against central differences of
+        the training loss, `loss_and_gradient`: alone, or soft-sharing
+        E2/Attn/D1 with a second task under either penalty form.  The
+        probes leave every buffer as they found it."""
         spec = TINY_SPEC
         vocab = spec.vocab()
         cfg = ModelConfig(
             vocab_size=len(vocab), emb_dim=3, hidden=3, attn_dim=4,
             use_pointer=use_pointer, use_coverage=use_coverage,
         )
-        params = single_task_params(cfg, seed=7, init_range=0.5)
+        plan = SharingPlan.solo() if form is None else SharingPlan.preset("final", 0.1, form=form)
+        registry = ParamRegistry(cfg, plan, seed=7, init_range=0.5)
+        for task in ("solo", "other")[: 1 if form is None else 2]:
+            registry.add_task(task)
         rng = np.random.default_rng(3)
         from seqlab.data import gen_copy
         enc = [encode_example(e, vocab) for e in gen_copy(rng, 2, spec)]
         batch = make_batch(enc)
-        arrays = {k: t.values for k, t in params.flat().items()}
 
-        def build(leaves):
-            groups = {tag: {} for tag in params.groups}
-            for key, leaf in leaves.items():
-                tag, name = key.split("/")
-                groups[tag][name] = leaf
-            return forward_loss(groups, cfg, batch).total
-
-        report = gradient_check(build, arrays, step=step, tolerance=5e-5)
+        before = [b.copy() for p in registry.tasks.values() for b in p.buffers]
+        report = step_gradient_check(
+            registry, "solo", cfg, batch, cov_weight=1.0, step=step, tolerance=5e-5
+        )
+        assert len(report.per_group) == len(registry.layout.spans)
         assert report.passed, report.summary()
+        after = [b for p in registry.tasks.values() for b in p.buffers]
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))  # probes restored
 
     def test_backward_into_matches_the_adjoint_map(self):
         """`backward(..., into=...)` writes into the training arena, bit for

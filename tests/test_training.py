@@ -28,6 +28,7 @@ from seqlab.checkpoint import (
     save_checkpoint,
 )
 import seqlab.checkpoint as checkpoint
+from seqlab.cli import _gradcheck_setup
 from seqlab.data import Example, SynthSpec, batch_iterator, encode_example, make_task_corpora, task_seed
 from seqlab.errors import CheckpointError, ContractError, NumericError
 from seqlab.model import TAGS, ModelConfig, forward_loss
@@ -62,6 +63,7 @@ from seqlab.training import (
     mixing_scheduler,
     penalty_descent,
     read_metrics,
+    step_gradient_check,
     token_accuracy,
     train,
     validation_loss,
@@ -399,6 +401,50 @@ class TestPenaltyDescent:
         reg.add_task("a")
         with pytest.raises(ContractError, match="gamma"):
             penalty_descent(reg, steps=1)
+
+
+class TestStepGradientCheck:
+    def test_halved_penalty_pull_fails_the_full_loss_oracle(self, monkeypatch):
+        """Gate 1's check, on the soft arrays only, fails when the closed-form
+        penalty adds half its pull to the gradient arena and keeps its value."""
+        soft_penalty = ParamRegistry.soft_penalty
+
+        def halved(self, task, grad):
+            before = grad.copy()
+            value = soft_penalty(self, task, grad)
+            grad -= (grad - before) / 2.0
+            return value
+
+        monkeypatch.setattr(ParamRegistry, "soft_penalty", halved)
+        check = _gradcheck_setup(seed=0, dtype="float64")
+        report = check(step=3e-4, tolerance=1e-4, tags=("E2", "Attn", "D1"))
+        assert {k.split("/")[0] for k in report.per_group} == {"E2", "Attn", "D1"}
+        assert not report.passed
+        assert report.max_rel_error > 0.1
+
+    def test_float32_model_passes_and_keeps_its_buffers(self):
+        """A float32 model, probed on a float64 copy of its registry, passes
+        at 1e-2 on its soft arrays, and its own buffers stay float32 and
+        bitwise unchanged."""
+        cfg = ModelConfig(
+            vocab_size=len(TINY_SPEC.vocab()), emb_dim=3, hidden=3, attn_dim=4, dtype="float32"
+        )
+        reg = ParamRegistry(cfg, SharingPlan.preset("final", gamma=0.1), seed=7, init_range=0.5)
+        for name in "ab":
+            reg.add_task(name)
+        before = [b.copy() for p in reg.tasks.values() for b in p.buffers]
+        corp = make_task_corpora("copy", seed=3, sizes=(2, 1, 1), spec=TINY_SPEC)
+        batch = next(batch_iterator(
+            [encode_example(ex, TINY_SPEC.vocab()) for ex in corp.train], 2,
+            np.random.default_rng(0), dtype=cfg.np_dtype,
+        ))
+        report = step_gradient_check(
+            reg, "a", cfg, batch, 1.0, step=1e-3, tolerance=1e-2, tags=("E2", "Attn", "D1")
+        )
+        assert report.passed, report.summary()
+        after = [b for p in reg.tasks.values() for b in p.buffers]
+        assert all(b.dtype == np.float32 for b in after)
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
 
 # ---------------------------------------------------------------------------
